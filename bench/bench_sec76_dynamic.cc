@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench_common.hh"
+#include "runtime/energy.hh"
 #include "runtime/offline.hh"
 
 using namespace archytas;
@@ -20,8 +21,6 @@ namespace {
 
 struct DynamicOutcome
 {
-    double static_energy_mj = 0.0;
-    double dynamic_energy_mj = 0.0;
     double saving_pct = 0.0;
     double static_error = 0.0;
     double dynamic_error = 0.0;
@@ -59,7 +58,6 @@ evaluateDesign(const hw::HwConfig &built, const ProfileCache &profile,
                const dataset::Sequence &eval_seq)
 {
     const auto opts = bench::estimatorOptions();
-    const synth::PowerModel pm = synth::PowerModel::calibrated();
 
     // The deployment latency bound L*: the built design's own latency at
     // full effort on the profiling trace's mean workload.
@@ -91,6 +89,7 @@ evaluateDesign(const hw::HwConfig &built, const ProfileCache &profile,
     const auto dyn_results = dyn_est.run(eval_seq);
 
     DynamicOutcome out;
+    runtime::EnergyAccountant energy(built, synth::PowerModel::calibrated());
     std::size_t di = 0;
     double iter_sum = 0.0;
     std::vector<double> static_err, dyn_err;
@@ -100,23 +99,16 @@ evaluateDesign(const hw::HwConfig &built, const ProfileCache &profile,
         if (!dr.optimized || !sr.optimized)
             continue;
         // Static energy: full design, full effort.
-        out.static_energy_mj +=
-            built_accel.windowTiming(sr.workload, 6).totalMs() *
-            pm.watts(built);
+        energy.chargeStatic(sr.workload, 6);
         // Dynamic energy: gated configuration at the controller's Iter.
         const auto &d = decisions[std::min(di, decisions.size() - 1)];
         ++di;
-        const hw::Accelerator gated_accel(d.gated);
-        out.dynamic_energy_mj +=
-            gated_accel.windowTiming(dr.workload, d.iterations)
-                .totalMs() *
-            pm.gatedWatts(built, d.gated);
+        energy.chargeDynamic(dr.workload, d);
         iter_sum += static_cast<double>(d.iterations);
         static_err.push_back(sr.position_error);
         dyn_err.push_back(dr.position_error);
     }
-    out.saving_pct = 100.0 *
-                     (1.0 - out.dynamic_energy_mj / out.static_energy_mj);
+    out.saving_pct = 100.0 * energy.saving();
     out.static_error = mean(static_err);
     out.dynamic_error = mean(dyn_err);
     out.reconfigurations = controller.reconfigurations();

@@ -2,11 +2,12 @@
  * @file
  * Runtime dimension/bounds contracts for the numerical kernels.
  *
- * The hardware simulator is bit-checked against the software MAP solver, so
- * a silent shape mismatch or out-of-range access in `linalg`/`hw` corrupts a
- * solve without any visible failure. These macros make such errors fail
- * loudly at the call site in checked builds, and compile to nothing in
- * Release builds so the hot kernels pay no cost in production.
+ * Every result -- software estimate and accelerator model alike -- comes
+ * from one numeric solve path, so a silent shape mismatch or out-of-range
+ * access in `linalg`/`hw` corrupts a solve without any visible failure.
+ * These macros make such errors fail loudly at the call site in checked
+ * builds, and compile to nothing in Release builds so the hot kernels pay
+ * no cost in production.
  *
  * Contract checks are on by default and disabled when the build defines
  * ARCHYTAS_DISABLE_CONTRACTS (the top-level CMakeLists does this for

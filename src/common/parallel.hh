@@ -18,7 +18,7 @@
  *    *sequentially in chunk order* on the calling thread. Floating-point
  *    accumulation therefore always associates identically.
  *
- * The hardware simulator is bit-checked against the software solver, so
+ * Interleaved sessions must reproduce solo serial runs bit for bit, so
  * this contract is non-negotiable; tests/slam/test_determinism.cc holds
  * it down. Raw std::thread/std::async are banned outside this file by
  * the `raw-thread` lint rule (tools/archytas_lint.py).

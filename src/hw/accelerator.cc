@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/contracts.hh"
-#include "common/logging.hh"
 #include "common/telemetry.hh"
-#include "linalg/cholesky.hh"
 
 namespace archytas::hw {
 
@@ -107,50 +104,6 @@ Accelerator::windowTiming(const slam::WindowWorkload &w,
                          {"marg_cycles", t.marg_cycles});
     }
     return t;
-}
-
-bool
-Accelerator::executeSolve(const slam::NormalEquations &eq, double lambda,
-                          linalg::Vector &dy, linalg::Vector &dx,
-                          WindowTiming *timing) const
-{
-    ARCHYTAS_SPAN("hw", "hw.execute_solve");
-    const std::size_t m = eq.u_diag.size();
-    const std::size_t nk = eq.v.rows();
-    ARCHYTAS_CHECK_DIM("Accelerator::executeSolve: square V", eq.v.cols(),
-                       nk);
-    ARCHYTAS_CHECK_DIM("Accelerator::executeSolve: by size", eq.by.size(),
-                       nk);
-
-    // --- D-type Schur block: fold each feature into the reduced system.
-    // Shares formReducedSystem with the software solver so the datapath
-    // model and slam/lm_solver.cc produce bit-identical increments under
-    // every kernel backend (tests/hw/test_accelerator.cc checks ==).
-    slam::ReducedSystem rs;
-    formReducedSystem(eq, lambda, rs);
-
-    // --- Cholesky block.
-    const auto chol = cholesky_.run(rs.reduced);
-    if (!chol)
-        return false;
-
-    // --- Back-substitution block.
-    dy = linalg::backwardSubstitute(
-        chol->l, linalg::forwardSubstitute(chol->l, rs.rhs));
-
-    // --- Feature recovery on the D-type Schur datapath.
-    recoverFeatureIncrements(dx, eq, rs, dy);
-
-    if (timing) {
-        WindowTiming t;
-        const double no = m ? static_cast<double>(nk) : 1.0;
-        (void)no;
-        t.cholesky_busy = chol->cycles;
-        t.bsub_busy = backSubstitutionCycles(nk);
-        t.total_cycles = t.cholesky_busy + t.bsub_busy;
-        *timing = t;
-    }
-    return true;
 }
 
 } // namespace archytas::hw

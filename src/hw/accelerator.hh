@@ -1,15 +1,15 @@
 /**
  * @file
  * The assembled accelerator (Fig. 5): all template blocks wired together
- * behind one interface. Two complementary views are provided:
+ * behind the paper's end-to-end latency model (Eq. 13-15), including the
+ * pipeline overlap between the Jacobian and D-type Schur blocks (the max
+ * term of Eq. 14) and the per-block busy-cycle accounting used for
+ * utilization and clock-gated energy.
  *
- *  - a *timing* view implementing the paper's end-to-end latency model
- *    (Eq. 13-15), including the pipeline overlap between the Jacobian
- *    and D-type Schur blocks (the max term of Eq. 14) and the per-block
- *    busy-cycle accounting used for utilization and clock-gated energy;
- *  - a *functional* view that executes one NLS linear solve with the
- *    exact arithmetic the hardware datapath performs, so results can be
- *    bit-checked against the software solver.
+ * The accelerator's functional path *is* the software solve: it runs
+ * the same M-DFG (Fig. 3b), so hw::HwWindowSolver hands every window to
+ * slam::solveBlockedSystem. hw:: models its timing (here) and its faults
+ * (hw/host_interface.hh, hw/hw_solver.hh).
  */
 
 #ifndef ARCHYTAS_HW_ACCELERATOR_HH
@@ -20,7 +20,6 @@
 #include "hw/jacobian_unit.hh"
 #include "hw/schur_units.hh"
 #include "slam/state.hh"
-#include "slam/window_problem.hh"
 
 namespace archytas::hw {
 
@@ -63,16 +62,6 @@ class Accelerator
      */
     WindowTiming windowTiming(const slam::WindowWorkload &w,
                               std::size_t iterations = 0) const;
-
-    /**
-     * Functional execution of one damped blocked solve on the hardware
-     * datapath; numerically identical to slam::solveBlockedSystem.
-     *
-     * @return false when the reduced system is not positive definite.
-     */
-    bool executeSolve(const slam::NormalEquations &eq, double lambda,
-                      linalg::Vector &dy, linalg::Vector &dx,
-                      WindowTiming *timing = nullptr) const;
 
     const JacobianUnit &jacobianUnit() const { return jacobian_; }
     const CholeskyUnit &choleskyUnit() const { return cholesky_; }

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/contracts.hh"
 #include "common/logging.hh"
-#include "linalg/cholesky.hh"
 
 namespace archytas::hw {
 
@@ -73,20 +71,6 @@ CholeskyUnit::simulatedCycles(std::size_t m) const
         makespan = std::max(makespan, update_done);
     }
     return makespan;
-}
-
-std::optional<CholeskyUnit::Result>
-CholeskyUnit::run(const linalg::Matrix &spd) const
-{
-    ARCHYTAS_CHECK_DIM("CholeskyUnit::run: square SPD input", spd.cols(),
-                       spd.rows());
-    auto l = linalg::cholesky(spd);
-    if (!l)
-        return std::nullopt;
-    Result r;
-    r.l = std::move(*l);
-    r.cycles = simulatedCycles(spd.rows());
-    return r;
 }
 
 HlsCholeskyModel::HlsCholeskyModel(const HwConstants &env) : env_(env)

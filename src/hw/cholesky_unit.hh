@@ -5,24 +5,22 @@
  *
  *  - the paper's closed-form latency model (Eq. 7/8),
  *  - a cycle-level simulation of the round-based execution timeline
- *    (Fig. 10), used to validate the closed form,
- *  - a numerically exact execution path (the unit computes the same LL^T
- *    factorization as linalg::cholesky), and
+ *    (Fig. 10), used to validate the closed form, and
  *  - the degraded HLS comparison model (Sec. 7.5): the same datapath
  *    without Evaluate/Update pipelining at a 30% lower clock.
+ *
+ * The factorization itself is linalg::choleskyInto, run inside the one
+ * solve path (slam::solveBlockedSystem); this block models its timing.
  */
 
 #ifndef ARCHYTAS_HW_CHOLESKY_UNIT_HH
 #define ARCHYTAS_HW_CHOLESKY_UNIT_HH
 
-#include <optional>
-
 #include "hw/config.hh"
-#include "linalg/matrix.hh"
 
 namespace archytas::hw {
 
-/** Latency model and executor of the Cholesky block. */
+/** Latency model of the Cholesky block. */
 class CholeskyUnit
 {
   public:
@@ -45,19 +43,6 @@ class CholeskyUnit
      * Returns the makespan in cycles.
      */
     double simulatedCycles(std::size_t m) const;
-
-    /**
-     * Executes the decomposition (numerically identical to
-     * linalg::cholesky) and reports the simulated cycle count.
-     *
-     * @return L and cycles, or nullopt when the input is not PD.
-     */
-    struct Result
-    {
-        linalg::Matrix l;
-        double cycles = 0.0;
-    };
-    std::optional<Result> run(const linalg::Matrix &spd) const;
 
   private:
     std::size_t s_;

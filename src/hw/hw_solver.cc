@@ -93,19 +93,18 @@ HwWindowSolver::completeWindow(slam::WindowProblem &problem,
 
     ++stats_.hw_windows;
     ARCHYTAS_COUNT_ADD("hw.hw_windows", 1);
+    // An injected bit-flip corrupts the window's first solved step.
     const FaultEvent *flip = plan_.find(window, FaultKind::BitFlip);
-    bool first_solve = true;
-    const slam::LinearSolver solver =
-        [&](const slam::NormalEquations &eq, double lambda,
-            linalg::Vector &dy, linalg::Vector &dx) {
-            if (!accel_.executeSolve(eq, lambda, dy, dx))
-                return false;
-            if (flip != nullptr && first_solve)
+    bool pending = true;
+    slam::SolveHook corrupt;
+    if (flip != nullptr) {
+        corrupt = [&](linalg::Vector &dy, linalg::Vector &dx) {
+            if (pending)
                 corruptResult(*flip, dy, dx);
-            first_solve = false;
-            return true;
+            pending = false;
         };
-    return slam::solveWindow(problem, options, solver, scratch_);
+    }
+    return slam::solveWindow(problem, options, corrupt, scratch_);
 }
 
 void

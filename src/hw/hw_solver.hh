@@ -1,15 +1,17 @@
 /**
  * @file
- * The fault-tolerant hardware window solver: drives the simulated
- * accelerator datapath through the host link for each sliding window,
- * exactly as the deployed system would (Sec. 6.2) — and survives the
- * faults a deployment sees. Per window it runs the host DMA transaction
- * (with deadline / bounded retry / exponential backoff from
- * hw/host_interface.hh); when the retry budget is exhausted the window
- * is solved by the software path instead (graceful degradation), and
- * injected result-word bit-flips corrupt the accelerator's step so the
- * estimator's step-rejection and divergence-recovery machinery is
- * exercised end to end. Plugs into
+ * The fault-tolerant hardware window solver: hands each sliding window
+ * to the accelerator through the host link, exactly as the deployed
+ * system would (Sec. 6.2) — and survives the faults a deployment sees.
+ * The accelerator runs the same M-DFG as the software solver, so its
+ * functional path is slam::solveWindow on this solver's own scratch;
+ * what this layer adds is the link and its faults. Per window it runs
+ * the host DMA transaction (with deadline / bounded retry / exponential
+ * backoff from hw/host_interface.hh); when the retry budget is
+ * exhausted the window is flagged as a software fallback (graceful
+ * degradation), and injected result-word bit-flips corrupt the
+ * accelerator's step so the estimator's step-rejection and
+ * divergence-recovery machinery is exercised end to end. Plugs into
  * slam::SlidingWindowEstimator::setWindowSolver.
  */
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Cholesky decomposition and triangular solves. These are the reference
- * (software) implementations of the CD and FBSub primitive M-DFG nodes
- * (Table 1 of the paper); the hardware simulator's Cholesky unit is
- * bit-checked against this code.
+ * Cholesky decomposition and triangular solves: the CD and FBSub
+ * primitive M-DFG nodes (Table 1 of the paper). The accelerator's
+ * functional path is the software solve, so this is also the Cholesky
+ * unit's arithmetic; hw::CholeskyUnit models only its timing.
  */
 
 #ifndef ARCHYTAS_LINALG_CHOLESKY_HH
@@ -27,8 +27,8 @@ std::optional<Matrix> cholesky(const Matrix &s);
  * Destination-passing factorization: L (resized to S's shape, upper
  * triangle zeroed) with S = L L^T. Returns false when S is not positive
  * definite. The inner dot products run on the simd::ops() backend; the
- * allocating cholesky() above is a thin wrapper, so the hardware
- * Cholesky unit and the software solver factor bit-identically.
+ * allocating cholesky() above is a thin wrapper, and a reused
+ * destination factors bit-identically to a fresh one.
  */
 bool choleskyInto(Matrix &l, const Matrix &s);
 

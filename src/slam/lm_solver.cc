@@ -17,10 +17,8 @@ solveBlockedSystem(const NormalEquations &eq, double lambda,
     // Reduced system: (V_damped - W U^{-1} W^T) dy = by - W U^{-1} bx.
     // Features with no informative observations (u == 0) get a
     // pure-damping pivot so the elimination stays well-defined and
-    // their increment is zero. formReducedSystem is shared verbatim
-    // with the hardware datapath model (hw/accelerator.cc), which keeps
-    // the two paths bit-identical; it picks the block-sparse path when
-    // eq's support structure is sparse enough.
+    // their increment is zero. formReducedSystem picks the
+    // block-sparse path when eq's support structure is sparse enough.
     {
         ARCHYTAS_SPAN("solver", "solver.dschur");
         formReducedSystem(eq, lambda, scratch.rsys);
@@ -41,17 +39,9 @@ solveBlockedSystem(const NormalEquations &eq, double lambda,
     return true;
 }
 
-bool
-solveBlockedSystem(const NormalEquations &eq, double lambda,
-                   linalg::Vector &dy, linalg::Vector &dx)
-{
-    SolverScratch scratch;
-    return solveBlockedSystem(eq, lambda, dy, dx, scratch);
-}
-
 LmReport
 solveWindow(WindowProblem &problem, const LmOptions &options,
-            const LinearSolver &solver, SolverScratch &scratch)
+            const SolveHook &hook, SolverScratch &scratch)
 {
     ARCHYTAS_SPAN("solver", "solver.window");
     // Re-published per solve (not only at backend selection) so metric
@@ -83,16 +73,14 @@ solveWindow(WindowProblem &problem, const LmOptions &options,
         for (std::size_t retry = 0; retry < options.max_retries; ++retry) {
             linalg::Vector &dy = scratch.dy;
             linalg::Vector &dx = scratch.dx;
-            const bool solved = solver
-                                    ? solver(eq, lambda, dy, dx)
-                                    : solveBlockedSystem(eq, lambda, dy,
-                                                         dx, scratch);
-            if (!solved) {
+            if (!solveBlockedSystem(eq, lambda, dy, dx, scratch)) {
                 ++report.cholesky_failures;
                 ARCHYTAS_COUNT_ADD("solver.cholesky_failures", 1);
                 lambda *= options.lambda_up;
                 continue;
             }
+            if (hook)
+                hook(dy, dx);
             const auto snap = problem.snapshot();
             problem.applyDelta(dy, dx);
             const double new_cost = problem.evaluateCost();
@@ -138,14 +126,6 @@ solveWindow(WindowProblem &problem, const LmOptions &options,
         cost > report.initial_cost * options.divergence_cost_factor +
                    1e-12;
     return report;
-}
-
-LmReport
-solveWindow(WindowProblem &problem, const LmOptions &options,
-            const LinearSolver &solver)
-{
-    SolverScratch scratch;
-    return solveWindow(problem, options, solver, scratch);
 }
 
 } // namespace archytas::slam

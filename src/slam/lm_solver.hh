@@ -62,13 +62,12 @@ struct LmReport
 };
 
 /**
- * The inner linear solve of one damped LM step. The default is
- * solveBlockedSystem; the hardware path substitutes the accelerator
- * datapath behind the host link (hw/hw_solver.hh), which is also where
- * result-word fault injection hooks in.
+ * Post-solve hook of one damped LM step: sees the increments of every
+ * successful solveBlockedSystem before the step is tried. The hardware
+ * path injects result-word faults here (hw/hw_solver.hh); empty does
+ * nothing.
  */
-using LinearSolver = std::function<bool(
-    const NormalEquations &, double, linalg::Vector &, linalg::Vector &)>;
+using SolveHook = std::function<void(linalg::Vector &, linalg::Vector &)>;
 
 /**
  * Reusable buffers for the blocked solve. One instance per estimator
@@ -90,25 +89,21 @@ struct SolverScratch
 };
 
 /**
- * Runs LM on the window problem, mutating its states in place.
+ * Runs LM on the window problem, mutating its states in place. Every
+ * step is solved by solveBlockedSystem.
  *
- * @param solver  Optional replacement for the inner blocked solve; when
- *                empty, solveBlockedSystem is used.
+ * @param hook    Optional post-solve hook on (dy, dx); empty for none.
  * @param scratch Per-session solver buffers reused across iterations.
  */
 [[nodiscard]] LmReport solveWindow(WindowProblem &problem,
                                    const LmOptions &options,
-                                   const LinearSolver &solver,
+                                   const SolveHook &hook,
                                    SolverScratch &scratch);
 
-/** Convenience overload owning a transient scratch. */
-[[nodiscard]] LmReport solveWindow(WindowProblem &problem,
-                                   const LmOptions &options,
-                                   const LinearSolver &solver = {});
-
 /**
- * One damped Schur-eliminated solve of the blocked system; exposed so the
- * hardware executor can be validated against the exact same arithmetic.
+ * One damped Schur-eliminated solve of the blocked system: the one
+ * numeric solve path, shared by the software estimator and the
+ * accelerator model (hw/hw_solver.hh).
  *
  * @param eq      Normal equations from WindowProblem::build().
  * @param lambda  LM damping added as lambda * diag(H).
@@ -120,10 +115,6 @@ struct SolverScratch
 bool solveBlockedSystem(const NormalEquations &eq, double lambda,
                         linalg::Vector &dy, linalg::Vector &dx,
                         SolverScratch &scratch);
-
-/** Convenience overload owning a transient scratch. */
-bool solveBlockedSystem(const NormalEquations &eq, double lambda,
-                        linalg::Vector &dy, linalg::Vector &dx);
 
 } // namespace archytas::slam
 

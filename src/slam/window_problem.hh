@@ -115,10 +115,9 @@ struct AssemblyScratch
 };
 
 /**
- * Damped D-type Schur reduction: buffers plus outputs, shared verbatim
- * by the software solver (slam/lm_solver.cc) and the hardware datapath
- * model (hw/accelerator.cc) so the two paths produce bit-identical
- * increments. One instance per solver scratch; reused across calls.
+ * Damped D-type Schur reduction: buffers plus outputs of the one solve
+ * path (slam/lm_solver.cc), which the hardware window solver runs too.
+ * One instance per solver scratch; reused across calls.
  */
 struct ReducedSystem
 {

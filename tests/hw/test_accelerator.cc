@@ -1,10 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "common/rng.hh"
 #include "hw/accelerator.hh"
-#include "slam/lm_solver.hh"
 
 namespace archytas::hw {
 namespace {
@@ -94,85 +90,6 @@ TEST(Accelerator, MsConversionUsesTemplateClock)
     const Accelerator accel({8, 8, 16});
     const auto t = accel.windowTiming(typicalWorkload(), 6);
     EXPECT_NEAR(t.totalMs(), t.total_cycles * 1e3 / 143e6, 1e-12);
-}
-
-/** Functional path: the accelerator's solve must equal the software's. */
-TEST(Accelerator, ExecuteSolveMatchesSoftwareBitExact)
-{
-    // Build a real normal-equation instance through the SLAM stack.
-    Rng rng(9);
-    slam::PinholeCamera camera;
-    std::vector<slam::KeyframeState> keyframes;
-    std::vector<slam::Feature> features;
-    std::vector<std::shared_ptr<slam::ImuPreintegration>> preints;
-    slam::PriorFactor prior;
-
-    const slam::Vec3 g = slam::gravityVector();
-    for (std::size_t i = 0; i < 4; ++i) {
-        slam::KeyframeState s;
-        s.pose.p = slam::Vec3{0.5 * static_cast<double>(i), 0.0, 0.0};
-        s.velocity = slam::Vec3{5.0, 0.0, 0.0};
-        keyframes.push_back(s);
-    }
-    for (std::size_t i = 0; i + 1 < 4; ++i) {
-        auto pre = std::make_shared<slam::ImuPreintegration>(
-            slam::Vec3{}, slam::Vec3{}, slam::ImuNoise{});
-        for (int k = 0; k < 20; ++k)
-            pre->integrate({0.005, slam::Vec3{}, slam::Vec3{} - g});
-        preints.push_back(pre);
-    }
-    for (int l = 0; l < 25; ++l) {
-        const slam::Vec3 lm{rng.uniform(-3, 3), rng.uniform(-2, 2),
-                            rng.uniform(6, 15)};
-        slam::Feature f;
-        f.track_id = static_cast<std::uint64_t>(l);
-        f.anchor_index = 0;
-        const slam::Vec3 pc = keyframes[0].pose.inverseTransform(lm);
-        f.anchor_bearing = {pc.x / pc.z, pc.y / pc.z, 1.0};
-        f.inverse_depth = 1.0 / pc.z;
-        f.depth_initialized = true;
-        for (std::size_t i = 0; i < 4; ++i) {
-            const auto px = camera.project(
-                keyframes[i].pose.inverseTransform(lm));
-            if (px)
-                f.observations.push_back(
-                    {i, {px->u + rng.gaussian(0, 0.5),
-                         px->v + rng.gaussian(0, 0.5)}});
-        }
-        features.push_back(std::move(f));
-    }
-
-    slam::WindowProblem problem(camera, keyframes, features, preints,
-                                prior, 1.0);
-    const slam::NormalEquations eq = problem.build();
-
-    linalg::Vector sw_dy, sw_dx;
-    ASSERT_TRUE(slam::solveBlockedSystem(eq, 1e-4, sw_dy, sw_dx));
-
-    const Accelerator accel({8, 8, 16});
-    linalg::Vector hw_dy, hw_dx;
-    WindowTiming timing;
-    ASSERT_TRUE(accel.executeSolve(eq, 1e-4, hw_dy, hw_dx, &timing));
-
-    EXPECT_EQ(hw_dy.maxAbsDiff(sw_dy), 0.0);
-    EXPECT_EQ(hw_dx.maxAbsDiff(sw_dx), 0.0);
-    EXPECT_GT(timing.cholesky_busy, 0.0);
-}
-
-TEST(Accelerator, ExecuteSolveRejectsIndefinite)
-{
-    slam::NormalEquations eq;
-    eq.u_diag = linalg::Vector(2);
-    eq.w = linalg::Matrix(3, 2);
-    eq.v = linalg::Matrix(3, 3);
-    eq.v(0, 0) = -5.0;   // Not PD even with damping.
-    eq.v(1, 1) = -5.0;
-    eq.v(2, 2) = -5.0;
-    eq.bx = linalg::Vector(2);
-    eq.by = linalg::Vector(3);
-    const Accelerator accel({4, 4, 4});
-    linalg::Vector dy, dx;
-    EXPECT_FALSE(accel.executeSolve(eq, 1e-4, dy, dx));
 }
 
 } // namespace

@@ -1,23 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
 #include "hw/cholesky_unit.hh"
-#include "linalg/cholesky.hh"
 
 namespace archytas::hw {
 namespace {
-
-linalg::Matrix
-randomSpd(std::size_t n, Rng &rng)
-{
-    linalg::Matrix a(n, n);
-    for (auto &x : a.data())
-        x = rng.uniform(-1, 1);
-    linalg::Matrix spd = a.transposed() * a;
-    for (std::size_t i = 0; i < n; ++i)
-        spd(i, i) += static_cast<double>(n);
-    return spd;
-}
 
 TEST(CholeskyUnit, MoreUpdateUnitsNeverSlower)
 {
@@ -90,26 +76,6 @@ TEST(CholeskyUnit, SimulationMoreUnitsNeverSlower)
             prev = t;
         }
     }
-}
-
-TEST(CholeskyUnit, RunProducesExactFactorization)
-{
-    Rng rng(5);
-    const auto spd = randomSpd(24, rng);
-    const CholeskyUnit unit(8);
-    const auto result = unit.run(spd);
-    ASSERT_TRUE(result.has_value());
-    const auto ref = linalg::cholesky(spd);
-    ASSERT_TRUE(ref.has_value());
-    EXPECT_EQ(result->l.maxAbsDiff(*ref), 0.0)
-        << "hardware path must be bit-identical to the software kernel";
-    EXPECT_GT(result->cycles, 0.0);
-}
-
-TEST(CholeskyUnit, RunRejectsIndefinite)
-{
-    linalg::Matrix bad{{1.0, 2.0}, {2.0, 1.0}};
-    EXPECT_FALSE(CholeskyUnit(4).run(bad).has_value());
 }
 
 TEST(HlsCholesky, MuchSlowerThanOptimizedUnit)

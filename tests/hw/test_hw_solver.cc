@@ -1,5 +1,6 @@
 #include <cmath>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -92,6 +93,32 @@ makeWindow(std::size_t n_keyframes, std::size_t n_landmarks, Rng &rng)
 
 const HwConfig kBuilt{28, 19, 97};
 
+/** Raw bytes of each value in turn, so comparisons have no tolerance. */
+template <typename... T>
+std::string
+bytes(const T &...v)
+{
+    std::string out;
+    (out.append(reinterpret_cast<const char *>(&v), sizeof v), ...);
+    return out;
+}
+
+/** Every estimated state of a window, as raw bytes. */
+std::string
+stateBytes(const TestWindow &w)
+{
+    std::string out;
+    for (const slam::KeyframeState &k : w.keyframes) {
+        const slam::Pose &p = k.pose;
+        out += bytes(p.q.w, p.q.x, p.q.y, p.q.z, p.p.x, p.p.y, p.p.z);
+        for (const slam::Vec3 &v : {k.velocity, k.bias_gyro, k.bias_accel})
+            out += bytes(v.x, v.y, v.z);
+    }
+    for (const slam::Feature &f : w.features)
+        out += bytes(f.inverse_depth);
+    return out;
+}
+
 TEST(HwWindowSolver, CleanWindowSolvesOnTheAccelerator)
 {
     Rng rng(1);
@@ -112,6 +139,46 @@ TEST(HwWindowSolver, CleanWindowSolvesOnTheAccelerator)
     EXPECT_EQ(solver.stats().fallback_windows, 0u);
     EXPECT_EQ(solver.stats().bit_flips_injected, 0u);
     EXPECT_GT(solver.stats().link_seconds, 0.0);
+}
+
+TEST(HwWindowSolver, CleanWindowsMatchTheSoftwareSolveBitExact)
+{
+    // The accelerator's functional path is the software solve: with no
+    // fault planned, the hardware solver must leave every window, and
+    // its LM report, exactly where slam::solveWindow does. Windows of
+    // different sizes go through one solver so its reused scratch is
+    // covered too.
+    HwWindowSolver solver(kBuilt);
+    slam::SolverScratch scratch;
+    const std::size_t shapes[][2] = {{4, 25}, {5, 30}, {4, 20}};
+    for (const auto &shape : shapes) {
+        Rng hw_rng(shape[1]), sw_rng(shape[1]);
+        TestWindow hw_w = makeWindow(shape[0], shape[1], hw_rng);
+        TestWindow sw_w = makeWindow(shape[0], shape[1], sw_rng);
+        slam::WindowProblem hw_problem(hw_w.camera, hw_w.keyframes,
+                                       hw_w.features, hw_w.preints,
+                                       hw_w.prior, 1.0);
+        slam::WindowProblem sw_problem(sw_w.camera, sw_w.keyframes,
+                                       sw_w.features, sw_w.preints,
+                                       sw_w.prior, 1.0);
+        const std::string before = stateBytes(sw_w);
+
+        slam::HealthReport health;
+        const slam::LmReport hw =
+            solver.solveWindow(hw_problem, slam::LmOptions{}, health);
+        const slam::LmReport sw =
+            slam::solveWindow(sw_problem, slam::LmOptions{}, {}, scratch);
+
+        EXPECT_NE(stateBytes(sw_w), before) << "the solve must move";
+        EXPECT_EQ(stateBytes(hw_w), stateBytes(sw_w));
+        EXPECT_EQ(hw.iterations, sw.iterations);
+        ASSERT_EQ(hw.cost_history.size(), sw.cost_history.size());
+        for (std::size_t i = 0; i < hw.cost_history.size(); ++i)
+            EXPECT_EQ(bytes(hw.cost_history[i]), bytes(sw.cost_history[i]));
+        EXPECT_EQ(bytes(hw.final_cost), bytes(sw.final_cost));
+        EXPECT_FALSE(health.anyFault());
+    }
+    EXPECT_EQ(solver.stats().hw_windows, 3u);
 }
 
 TEST(HwWindowSolver, RecoveredDmaRetryStaysOnHardware)

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dataset/sequence.hh"
+#include "hw/hw_solver.hh"
 #include "mdfg/builder.hh"
 #include "mdfg/scheduler.hh"
+#include "runtime/energy.hh"
 #include "runtime/offline.hh"
 #include "slam/estimator.hh"
 #include "synth/optimizer.hh"
@@ -30,6 +34,40 @@ shortKitti()
     cfg.density_modulation = 0.5;
     cfg.seed = 123;
     return cfg;
+}
+
+/** Raw bytes of each value in turn, so comparisons have no tolerance. */
+template <typename... T>
+std::string
+bytes(const T &...v)
+{
+    std::string out;
+    (out.append(reinterpret_cast<const char *>(&v), sizeof v), ...);
+    return out;
+}
+
+/** Every field of a frame result, as raw bytes. */
+std::string
+frameBytes(const slam::FrameResult &r)
+{
+    std::string out;
+    for (const slam::Pose &p : {r.estimated, r.ground_truth})
+        out += bytes(p.q.w, p.q.x, p.q.y, p.q.z, p.p.x, p.p.y, p.p.z);
+    out += bytes(r.timestamp, r.position_error, r.rotation_error);
+    const slam::WindowWorkload &w = r.workload;
+    out += bytes(w.keyframes, w.features, w.observations,
+                 w.avg_obs_per_feature, w.marginalized_features,
+                 w.nls_iterations);
+    const slam::LmReport &lm = r.lm_report;
+    out += bytes(lm.iterations, lm.initial_cost, lm.final_cost, lm.converged,
+                 lm.cholesky_failures, lm.non_finite_cost, lm.diverged);
+    for (double cost : lm.cost_history)
+        out += bytes(cost);
+    const slam::HealthReport &h = r.health;
+    out += bytes(h.dropped_frame, h.imu_gap, h.zero_features, h.dma_degraded,
+                 h.nonfinite_step, h.solver_diverged, h.hw_fallback, h.action,
+                 h.degraded, r.optimized);
+    return out;
 }
 
 /** Runs the estimator and returns the mean workload. */
@@ -170,8 +208,8 @@ TEST(EndToEnd, RuntimePipelineSavesEnergyWithoutAccuracyLoss)
                                           built);
     slam::SlidingWindowEstimator dyn(eval_seq.camera(), opts);
     runtime::ControllerDecision last{};
-    double dynamic_mj = 0.0, static_mj = 0.0, dyn_err = 0.0,
-           static_err = 0.0;
+    runtime::EnergyAccountant energy(built, synth::PowerModel::calibrated());
+    double dyn_err = 0.0, static_err = 0.0;
     std::size_t n = 0;
     dyn.setIterationController([&](std::size_t features) {
         last = controller.onWindow(features);
@@ -180,24 +218,20 @@ TEST(EndToEnd, RuntimePipelineSavesEnergyWithoutAccuracyLoss)
     slam::EstimatorOptions full = opts;
     full.forced_iterations = 6;
     slam::SlidingWindowEstimator stat(eval_seq.camera(), full);
-    const synth::PowerModel pm = synth::PowerModel::calibrated();
     for (const auto &frame : eval_seq.frames()) {
         const auto rd = dyn.processFrame(frame);
         const auto rs = stat.processFrame(frame);
         if (!rd.optimized || !rs.optimized)
             continue;
         ++n;
-        const hw::Accelerator gated(last.gated);
-        dynamic_mj +=
-            gated.windowTiming(rd.workload, last.iterations).totalMs() *
-            pm.gatedWatts(built, last.gated);
-        static_mj += built_accel.windowTiming(rs.workload, 6).totalMs() *
-                     pm.watts(built);
+        energy.chargeDynamic(rd.workload, last);
+        energy.chargeStatic(rs.workload, 6);
         dyn_err += rd.position_error;
         static_err += rs.position_error;
     }
     ASSERT_GT(n, 10u);
-    EXPECT_LT(dynamic_mj, static_mj) << "gating must save energy";
+    EXPECT_LT(energy.dynamicMj(), energy.staticMj())
+        << "gating must save energy";
     // Accuracy guard: within 50% of the full-effort error plus 2 cm
     // (the controller is allowed small, bounded degradation).
     EXPECT_LT(dyn_err / n, static_err / n * 1.5 + 0.02);
@@ -205,21 +239,26 @@ TEST(EndToEnd, RuntimePipelineSavesEnergyWithoutAccuracyLoss)
 
 TEST(EndToEnd, AcceleratorSolvesTheRealWindowProblemExactly)
 {
-    // Build a real mid-trace window problem via the estimator, extract
-    // the equations, and require the simulated accelerator datapath to
-    // produce the software solver's exact step.
+    // The accelerator's functional path is the software solve: a trace
+    // run with the hardware window solver attached (clean link, no
+    // faults) must reproduce the software estimator frame by frame, bit
+    // for bit.
     const auto seq = dataset::makeKittiLikeSequence(shortKitti());
     slam::EstimatorOptions opts;
     opts.window_size = 8;
-    slam::SlidingWindowEstimator est(seq.camera(), opts);
-    for (std::size_t i = 0; i < 30; ++i)
-        est.processFrame(seq.frame(i));
+    slam::SlidingWindowEstimator software(seq.camera(), opts);
+    slam::SlidingWindowEstimator hardware(seq.camera(), opts);
+    hw::HwWindowSolver solver(synth::highPerfConfig());
+    solver.attach(hardware);
 
-    // Reconstruct a window problem from the estimator's live state via
-    // another frame step; use its result only to confirm health.
-    const auto r = est.processFrame(seq.frame(30));
-    ASSERT_TRUE(r.optimized);
-    EXPECT_LT(r.position_error, 1.0);
+    const auto expected = software.run(seq);
+    const auto actual = hardware.run(seq);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i)
+        EXPECT_EQ(frameBytes(actual[i]), frameBytes(expected[i]))
+            << "frame " << i;
+    EXPECT_GT(solver.stats().hw_windows, 10u);
+    EXPECT_EQ(solver.stats().hw_windows, solver.stats().windows);
 }
 
 } // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/contracts.hh"
 #include "common/rng.hh"
 #include "linalg/matrix.hh"
 
@@ -107,12 +108,16 @@ TEST(Matrix, SymmetryCheck)
 
 TEST(Matrix, OutOfRangeAccessDies)
 {
+    if (!ARCHYTAS_CONTRACTS_ENABLED)
+        GTEST_SKIP() << "contracts are compiled out of this build";
     Matrix a(2, 2);
     EXPECT_DEATH(a(2, 0), "out of range");
 }
 
 TEST(Matrix, ShapeMismatchDies)
 {
+    if (!ARCHYTAS_CONTRACTS_ENABLED)
+        GTEST_SKIP() << "contracts are compiled out of this build";
     Matrix a(2, 2), b(3, 3);
     EXPECT_DEATH(a + b, "dimension mismatch");
     EXPECT_DEATH(a * b, "matmul");

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/contracts.hh"
 #include "common/rng.hh"
 #include "linalg/smatrix.hh"
 #include "linalg/sparse.hh"
@@ -142,6 +143,8 @@ TEST(SMatrix, BeatsCsrOnTypicalWindow)
 
 TEST(SMatrix, RejectsWrongBlockShapes)
 {
+    if (!ARCHYTAS_CONTRACTS_ENABLED)
+        GTEST_SKIP() << "contracts are compiled out of this build";
     CompactSMatrix s(15, 3);
     EXPECT_DEATH(s.setImuDiagBlock(0, Matrix(6, 6)), "dimension mismatch");
     EXPECT_DEATH(s.setCameraBlock(0, 1, Matrix(15, 15)),

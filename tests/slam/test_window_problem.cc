@@ -186,7 +186,8 @@ TEST(WindowProblem, SolveReducesCostOnPerturbedStates)
                           w.prior, 1.0);
     const double before = problem.evaluateCost();
     LmOptions opt;
-    const LmReport report = solveWindow(problem, opt);
+    SolverScratch scratch;
+    const LmReport report = solveWindow(problem, opt, {}, scratch);
     EXPECT_LT(report.final_cost, before);
     EXPECT_GE(report.iterations, 1u);
 }
@@ -207,7 +208,8 @@ TEST(WindowProblem, SolveRecoversPerturbedPose)
                           w.prior, 1.0);
     LmOptions opt;
     opt.max_iterations = 20;
-    const LmReport report = solveWindow(problem, opt);
+    SolverScratch scratch;
+    const LmReport report = solveWindow(problem, opt, {}, scratch);
     // A short window with modest rotation retains a near-flat
     // scale/accel-bias direction (a classic VIO observability limit), so
     // exact metric recovery is not attainable; require that the optimizer
@@ -243,7 +245,8 @@ TEST(WindowProblem, BlockedSolveMatchesDenseSolve)
     const NormalEquations eq = problem.build();
 
     linalg::Vector dy, dx;
-    ASSERT_TRUE(solveBlockedSystem(eq, 1e-4, dy, dx));
+    SolverScratch scratch;
+    ASSERT_TRUE(solveBlockedSystem(eq, 1e-4, dy, dx, scratch));
 
     // Build the full dense system [U, W^T; W, V] with the same damping
     // and solve directly.
@@ -274,6 +277,23 @@ TEST(WindowProblem, BlockedSolveMatchesDenseSolve)
         EXPECT_NEAR(dx[f], direct[f], 1e-6);
     for (std::size_t r = 0; r < nk; ++r)
         EXPECT_NEAR(dy[r], direct[m + r], 1e-6);
+}
+
+TEST(WindowProblem, BlockedSolveRejectsIndefiniteSystem)
+{
+    // V is negative definite, so no damping makes the reduced system
+    // positive definite: the solve must refuse instead of stepping.
+    NormalEquations eq;
+    eq.u_diag = linalg::Vector(2);
+    eq.w = linalg::Matrix(3, 2);
+    eq.v = linalg::Matrix(3, 3);
+    for (std::size_t i = 0; i < 3; ++i)
+        eq.v(i, i) = -5.0;
+    eq.bx = linalg::Vector(2);
+    eq.by = linalg::Vector(3);
+    linalg::Vector dy, dx;
+    SolverScratch scratch;
+    EXPECT_FALSE(solveBlockedSystem(eq, 1e-4, dy, dx, scratch));
 }
 
 } // namespace

@@ -18,12 +18,15 @@ table, and validates flight-recorder postmortem bundles
 (`postmortem_<session>.json`, schema archytas-postmortem-v1) named via
 --postmortem.
 
-Exit codes under --check:
-  0  every objective passed (slo.violations == 0) and every named
-     postmortem bundle is well formed
-  1  an objective was violated, or a bundle / snapshot is malformed
-  2  no SLO data at all (no slo.* metrics in the snapshot) -- distinct
-     so callers can tell "failing" from "not evaluated"
+Exit codes:
+  0  report printed, or (--check) every objective passed
+     (slo.violations == 0) and every named postmortem bundle is well
+     formed
+  1  (--check) an objective was violated, or a bundle is malformed
+  2  no usable data: a named input cannot be read or is not a JSON
+     object (in every mode; the error is printed), or (--check) the
+     snapshot carries no slo.* metrics -- distinct so callers can tell
+     "failing" from "not evaluated"
 
 Usage:
   archytas_slo_report.py <metrics.json> [--trace <trace.json>]
@@ -50,12 +53,19 @@ def as_number(value, default=0):
     return value if isinstance(value, (int, float)) else default
 
 
+class UnreadableInput(Exception):
+    """A named input that cannot be opened or parsed as a JSON object."""
+
+
 def load_json(path, what):
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f), []
-    except (OSError, json.JSONDecodeError) as err:
-        return None, ["%s %s: %s" % (what, path, err)]
+            document = json.load(f)
+    except (OSError, ValueError) as err:
+        raise UnreadableInput("%s %s: %s" % (what, path, err)) from err
+    if not isinstance(document, dict):
+        raise UnreadableInput("%s %s: not a JSON object" % (what, path))
+    return document
 
 
 def slo_metrics(metrics):
@@ -87,11 +97,9 @@ def verdict_bounds(trace):
     return verdicts
 
 
-def validate_postmortem(path):
+def validate_postmortem(path, bundle):
     """Schema checks on one postmortem bundle; returns error strings."""
-    bundle, errors = load_json(path, "postmortem")
-    if bundle is None:
-        return errors
+    errors = []
     where = os.path.basename(path)
     if bundle.get("schema") != POSTMORTEM_SCHEMA:
         errors.append("%s: unexpected schema %r"
@@ -123,11 +131,10 @@ def validate_postmortem(path):
     return errors
 
 
-def postmortem_summary(path):
-    bundle, errors = load_json(path, "postmortem")
-    if bundle is None:
-        return errors
+def postmortem_summary(path, bundle):
     records = bundle.get("records", [])
+    if not isinstance(records, list):
+        records = []
     kinds = {}
     for record in records:
         if isinstance(record, dict):
@@ -167,25 +174,23 @@ def main(argv):
                         "validate / summarize (repeatable)")
     parser.add_argument("--check", action="store_true",
                         help="gate: exit 1 on violations or malformed "
-                        "input, 2 when no SLO data exists")
+                        "bundles, 2 when no SLO data exists")
     args = parser.parse_args(argv)
 
-    metrics, errors = load_json(args.metrics, "metrics")
-    gauges, counters = ({}, {})
-    if metrics is not None:
-        gauges, counters = slo_metrics(metrics)
+    try:
+        metrics = load_json(args.metrics, "metrics")
+        trace = load_json(args.trace, "trace") if args.trace else None
+        bundles = [(path, load_json(path, "postmortem"))
+                   for path in expand_postmortems(args.postmortem)]
+    except UnreadableInput as err:
+        print("error: %s" % err, file=sys.stderr)
+        return EXIT_NO_DATA
 
-    verdicts = []
-    if args.trace:
-        trace, trace_errors = load_json(args.trace, "trace")
-        errors += trace_errors
-        if trace is not None:
-            verdicts = verdict_bounds(trace)
-
-    bundles = expand_postmortems(args.postmortem)
-    bundle_errors = []
-    for path in bundles:
-        bundle_errors += validate_postmortem(path)
+    gauges, counters = slo_metrics(metrics)
+    verdicts = verdict_bounds(trace) if trace is not None else []
+    errors = []
+    for path, bundle in bundles:
+        errors += validate_postmortem(path, bundle)
 
     violations = counters.get("slo.violations", 0)
     evaluations = counters.get("slo.evaluations", 0)
@@ -213,16 +218,17 @@ def main(argv):
 
     if bundles:
         print("postmortem bundles (%d):" % len(bundles))
-        for path in bundles:
-            for line in postmortem_summary(path):
+        for path, bundle in bundles:
+            for line in postmortem_summary(path, bundle):
                 print(line)
 
-    for error in errors + bundle_errors:
-        print("CHECK FAIL: %s" % error, file=sys.stderr)
+    for error in errors:
+        print("%s: %s" % ("CHECK FAIL" if args.check else "warning", error),
+              file=sys.stderr)
 
     if not args.check:
         return EXIT_OK
-    if errors or bundle_errors:
+    if errors:
         return EXIT_FAIL
     if not have_data:
         return EXIT_NO_DATA

@@ -16,10 +16,13 @@ arc is matched start-to-finish when --require-flows is given, and --
 when --metrics is given -- that the metrics snapshot parses and carries
 at least one counter, gauge, and histogram.
 
-Exit codes under --check:
-  0  valid export
-  1  schema violation (malformed events, missing categories, ...)
-  2  degenerate export: no events at all, or no complete span carries a
+Exit codes:
+  0  report printed, or (--check) valid export
+  1  (--check) schema violation (malformed events, missing categories,
+     ...)
+  2  nothing usable: a named input cannot be read or is not a JSON
+     object (in every mode; the error is printed), or (--check) a
+     degenerate export: no events at all, or no complete span carries a
      positive duration (instant-only / zero-duration sets) -- reported
      distinctly so callers can tell "broken" from "empty"
 
@@ -37,6 +40,7 @@ from collections import defaultdict
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_DEGENERATE = 2
+EXIT_UNREADABLE = 2
 
 #: Phases the exporter emits: complete spans, instants, flow
 #: start/step/finish, and metadata (process names).
@@ -63,12 +67,19 @@ def event_args(event):
     return args if isinstance(args, dict) else {}
 
 
+class UnreadableInput(Exception):
+    """A named input that cannot be opened or parsed as a JSON object."""
+
+
 def load_json(path, what):
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f), []
-    except (OSError, json.JSONDecodeError) as err:
-        return None, ["%s %s: %s" % (what, path, err)]
+            document = json.load(f)
+    except (OSError, ValueError) as err:
+        raise UnreadableInput("%s %s: %s" % (what, path, err)) from err
+    if not isinstance(document, dict):
+        raise UnreadableInput("%s %s: not a JSON object" % (what, path))
+    return document
 
 
 def validate_events(events, require_categories):
@@ -300,25 +311,26 @@ def main(argv):
                         "start-to-finish")
     args = parser.parse_args(argv)
 
-    trace, errors = load_json(args.trace, "trace")
-    events = []
-    if trace is not None:
-        events = trace.get("traceEvents")
-        if not isinstance(events, list):
-            errors.append("trace: 'traceEvents' missing or not a list")
-            events = []
+    try:
+        trace = load_json(args.trace, "trace")
+        metrics = (load_json(args.metrics, "metrics") if args.metrics
+                   else None)
+    except UnreadableInput as err:
+        print("error: %s" % err, file=sys.stderr)
+        return EXIT_UNREADABLE
+
+    errors = []
+    events = trace.get("traceEvents")
+    if not isinstance(events, list):
+        errors.append("trace: 'traceEvents' missing or not a list")
+        events = []
 
     required = [c for c in args.require_categories.split(",") if c]
     errors += validate_events(events, required)
     if args.require_flows:
         errors += validate_flows(events)
-
-    metrics = None
-    if args.metrics:
-        metrics, metric_errors = load_json(args.metrics, "metrics")
-        errors += metric_errors
-        if metrics is not None:
-            errors += validate_metrics(metrics)
+    if metrics is not None:
+        errors += validate_metrics(metrics)
 
     degenerate = degenerate_reason(events)
 
