@@ -219,22 +219,4 @@ subtractTransposeApplyScaled(double *g, std::size_t gsize, std::size_t r0,
     }
 }
 
-void
-addInto(Matrix &dst, const MatrixView &src)
-{
-    ARCHYTAS_CHECK_DIM("addInto rows", src.rows(), dst.rows());
-    ARCHYTAS_CHECK_DIM("addInto cols", src.cols(), dst.cols());
-    // alpha = 1.0 makes the FMA product exact, so this merge is
-    // bit-identical under every backend.
-    simd::ops().axpy(dst.data().data(), 1.0, src.data(),
-                     dst.rows() * dst.cols());
-}
-
-void
-addInto(Vector &dst, const double *src, std::size_t n)
-{
-    ARCHYTAS_CHECK_DIM("addInto size", n, dst.size());
-    simd::ops().axpy(dst.data().data(), 1.0, src, n);
-}
-
 } // namespace archytas::linalg

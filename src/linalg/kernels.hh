@@ -71,12 +71,6 @@ void subtractTransposeApplyScaled(double *g, std::size_t gsize,
                                   std::size_t r0, const Matrix &a,
                                   const double *x, double wt);
 
-/** dst += src, element-wise; the ordered shard-merge primitive. */
-void addInto(Matrix &dst, const MatrixView &src);
-
-/** dst[i] += src[i] for i in [0, n); n must equal dst.size(). */
-void addInto(Vector &dst, const double *src, std::size_t n);
-
 } // namespace archytas::linalg
 
 #endif // ARCHYTAS_LINALG_KERNELS_HH

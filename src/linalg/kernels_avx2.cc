@@ -7,8 +7,9 @@
  *
  * Determinism: every loop below has a data-independent structure -- a
  * fixed number of 4-wide lanes, a fixed-order horizontal reduction, and
- * a scalar tail -- so for a given input the bit pattern of the result
- * never varies across calls or thread counts. The lane-wise association
+ * a scalar tail written as std::fma (one rounding, like the lanes) -- so
+ * for a given input the bit pattern of the result never varies across
+ * calls or thread counts. The lane-wise association
  * differs from the scalar backend's left-to-right order, which is why
  * cross-backend comparisons are tolerance-based.
  */
@@ -16,6 +17,8 @@
 #include "linalg/simd.hh"
 
 #if defined(ARCHYTAS_HAVE_AVX2)
+
+#include <cmath>
 
 #include <immintrin.h>
 
@@ -47,7 +50,7 @@ avx2Dot(const double *a, const double *b, std::size_t n)
     _mm256_store_pd(lanes, acc);
     double sum = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
     for (; i < n; ++i)
-        sum += a[i] * b[i];
+        sum = std::fma(a[i], b[i], sum);
     return sum;
 }
 
@@ -61,8 +64,11 @@ avx2Axpy(double *y, double alpha, const double *x, std::size_t n)
         _mm256_storeu_pd(y + i,
                          _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i), vy));
     }
+    // The tail fuses like the lanes, so every element is one rounding of
+    // alpha * x[i] + y[i] wherever it falls: the first k results of an
+    // n-long axpy equal a k-long one bit for bit.
     for (; i < n; ++i)
-        y[i] += alpha * x[i];
+        y[i] = std::fma(alpha, x[i], y[i]);
 }
 
 void

@@ -44,22 +44,6 @@ Matrix::diagonal(const std::vector<double> &entries)
     return m;
 }
 
-double &
-Matrix::operator()(std::size_t r, std::size_t c)
-{
-    ARCHYTAS_CHECK_BOUNDS("Matrix::operator() row", r, rows_);
-    ARCHYTAS_CHECK_BOUNDS("Matrix::operator() col", c, cols_);
-    return data_[r * cols_ + c];
-}
-
-double
-Matrix::operator()(std::size_t r, std::size_t c) const
-{
-    ARCHYTAS_CHECK_BOUNDS("Matrix::operator() row", r, rows_);
-    ARCHYTAS_CHECK_BOUNDS("Matrix::operator() col", c, cols_);
-    return data_[r * cols_ + c];
-}
-
 void
 Matrix::setZero()
 {

@@ -41,8 +41,23 @@ class Matrix
     std::size_t cols() const { return cols_; }
     bool empty() const { return rows_ == 0 || cols_ == 0; }
 
-    double &operator()(std::size_t r, std::size_t c);
-    double operator()(std::size_t r, std::size_t c) const;
+    /** Element (r, c), bounds-checked in contract builds. Defined here
+     *  so the per-element calls of scalar loops inline. */
+    double &
+    operator()(std::size_t r, std::size_t c)
+    {
+        ARCHYTAS_CHECK_BOUNDS("Matrix::operator() row", r, rows_);
+        ARCHYTAS_CHECK_BOUNDS("Matrix::operator() col", c, cols_);
+        return data_[r * cols_ + c];
+    }
+
+    double
+    operator()(std::size_t r, std::size_t c) const
+    {
+        ARCHYTAS_CHECK_BOUNDS("Matrix::operator() row", r, rows_);
+        ARCHYTAS_CHECK_BOUNDS("Matrix::operator() col", c, cols_);
+        return data_[r * cols_ + c];
+    }
 
     /** Raw storage access for kernels that stream the matrix. */
     const std::vector<double> &data() const { return data_; }

@@ -65,7 +65,8 @@ dSchurBackSubstitute(const Matrix &u, const Matrix &w, const Vector &bx,
 
 void
 subtractBlockSparseSchur(Matrix &reduced, Vector &rhs, const Vector &bx,
-                         const double *inv_u, std::size_t block_dof,
+                         const double *inv_u, std::size_t block_stride,
+                         std::size_t segment,
                          const std::vector<std::uint32_t> &support_offsets,
                          const std::vector<std::uint32_t> &support_blocks,
                          const std::vector<double> &w_blocks,
@@ -73,7 +74,7 @@ subtractBlockSparseSchur(Matrix &reduced, Vector &rhs, const Vector &bx,
 {
     const std::size_t m =
         support_offsets.empty() ? 0 : support_offsets.size() - 1;
-    const std::size_t d = block_dof;
+    const std::size_t d = segment;
     ARCHYTAS_CHECK_DIM("sparse Schur: square reduced", reduced.cols(),
                        reduced.rows());
     ARCHYTAS_CHECK_DIM("sparse Schur: rhs size", rhs.size(),
@@ -81,6 +82,8 @@ subtractBlockSparseSchur(Matrix &reduced, Vector &rhs, const Vector &bx,
     ARCHYTAS_CHECK_DIM("sparse Schur: bx size", bx.size(), m);
     ARCHYTAS_CHECK_DIM("sparse Schur: w_blocks size", w_blocks.size(),
                        support_blocks.size() * d);
+    ARCHYTAS_DCHECK(d <= block_stride, "sparse Schur: segment ", d,
+                    " longer than the block stride ", block_stride);
     if (m == 0)
         return;
 
@@ -103,7 +106,7 @@ subtractBlockSparseSchur(Matrix &reduced, Vector &rhs, const Vector &bx,
         for (std::size_t t = 0; t < nb * d; ++t)
             wui_f[t] = wf[t] * iu;
         for (std::size_t bi = 0; bi < nb; ++bi) {
-            const std::size_t rowi = support_blocks[s0 + bi] * d;
+            const std::size_t rowi = support_blocks[s0 + bi] * block_stride;
             ARCHYTAS_DCHECK(bi == 0 || support_blocks[s0 + bi] >
                                            support_blocks[s0 + bi - 1],
                             "sparse Schur: support blocks of feature ", f,
@@ -133,7 +136,8 @@ subtractBlockSparseSchur(Matrix &reduced, Vector &rhs, const Vector &bx,
             // product wj[c] * wui_i[r] == wui_i[r] * wj[c], so the
             // reduced matrix stays exactly symmetric.
             for (std::size_t bj = bi + 1; bj < nb; ++bj) {
-                const std::size_t rowj = support_blocks[s0 + bj] * d;
+                const std::size_t rowj =
+                    support_blocks[s0 + bj] * block_stride;
                 const double *wj = wf + bj * d;
                 for (std::size_t r = 0; r < d; ++r)
                     v.axpy(reduced.rowPtr(rowi + r) + rowj, -wui_i[r], wj,

@@ -51,26 +51,30 @@ Vector dSchurBackSubstitute(const Matrix &u, const Matrix &w,
 /**
  * Block-sparse D-type Schur update keyed on feature-track support:
  * reduced -= W U^{-1} W^T and rhs -= W U^{-1} bx using only the keyframe
- * blocks each feature actually observes. The CSR-like inputs describe
- * W's column f as the block_dof-long segments
- * w_blocks[s * block_dof ..] for s in
- * [support_offsets[f], support_offsets[f+1]), each sitting at block row
- * support_blocks[s] * block_dof; block indices must be sorted and
- * unique per feature. Features are processed serially in a fixed order,
- * so the result is deterministic at any thread count, and each block
- * pair is written with the commuted product of its mirror, so the
- * subtraction stays exactly symmetric. The arena provides the single
- * per-call scaled-column scratch (no heap traffic).
+ * blocks each feature actually observes, and only the leading rows of
+ * each block that W can fill. The CSR-like inputs describe W's column f
+ * as the segment-long pieces w_blocks[s * segment ..] for s in
+ * [support_offsets[f], support_offsets[f+1]), each sitting at row
+ * support_blocks[s] * block_stride; the other block_stride - segment
+ * rows of every block are zero and are skipped. Block indices must be
+ * sorted and unique per feature. Features are processed serially in a
+ * fixed order, so the result is deterministic at any thread count, and
+ * each block pair is written with the commuted product of its mirror,
+ * so the subtraction stays exactly symmetric. The arena provides the
+ * single per-call scaled-column scratch (no heap traffic).
  *
- * @param reduced   q x q accumulator (V with damping already applied).
- * @param rhs       q-dimensional accumulator (by).
- * @param bx        Feature-side rhs (m entries).
- * @param inv_u     Reciprocal damped pivots, m entries.
- * @param block_dof Rows per keyframe block (15 for the window solver).
+ * @param reduced      q x q accumulator (V with damping already applied).
+ * @param rhs          q-dimensional accumulator (by).
+ * @param bx           Feature-side rhs (m entries).
+ * @param inv_u        Reciprocal damped pivots, m entries.
+ * @param block_stride Rows per keyframe block (15 for the window solver).
+ * @param segment      Leading rows of a block stored per support entry
+ *                     (6 pose rows for the window solver); at most
+ *                     block_stride.
  */
 void subtractBlockSparseSchur(
     Matrix &reduced, Vector &rhs, const Vector &bx, const double *inv_u,
-    std::size_t block_dof,
+    std::size_t block_stride, std::size_t segment,
     const std::vector<std::uint32_t> &support_offsets,
     const std::vector<std::uint32_t> &support_blocks,
     const std::vector<double> &w_blocks, common::Arena &arena);

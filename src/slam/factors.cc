@@ -1,7 +1,6 @@
 #include "slam/factors.hh"
 
 #include "common/logging.hh"
-#include "linalg/cholesky.hh"
 
 namespace archytas::slam {
 
@@ -13,14 +12,6 @@ setBlock3(linalg::Matrix &m, std::size_t r0, std::size_t c0, const Mat3 &b)
     for (int r = 0; r < 3; ++r)
         for (int c = 0; c < 3; ++c)
             m(r0 + r, c0 + c) = b(r, c);
-}
-
-void
-setVec3(linalg::Vector &v, std::size_t off, const Vec3 &x)
-{
-    v[off] = x.x;
-    v[off + 1] = x.y;
-    v[off + 2] = x.z;
 }
 
 /** out = j_proj(2x3) * m(3x3) written into a 2x6 block at column c0. */
@@ -37,6 +28,84 @@ composeInto(linalg::Matrix &out, std::size_t c0,
         }
 }
 
+/**
+ * The feature's point in the anchor and the target camera: the one
+ * projection the full and the residual-only visual evaluations share.
+ * False when the point is behind the anchor, at infinity, or nearer the
+ * target camera than min_depth.
+ */
+bool
+featureInTarget(const PinholeCamera &camera, const Pose &anchor,
+                const Pose &target, const Vec3 &bearing, double inv_depth,
+                Vec3 &p_anchor, Vec3 &p_target)
+{
+    if (inv_depth <= 1e-6)
+        return false;   // Behind or at infinity: uninformative.
+
+    // Point in the anchor camera, the world, then the target camera.
+    p_anchor = bearing * (1.0 / inv_depth);
+    const Vec3 p_world = anchor.transform(p_anchor);
+    p_target = target.inverseTransform(p_world);
+    if (p_target.z < camera.min_depth)
+        return false;
+    return true;
+}
+
+/** Residual terms of one IMU factor, with what its Jacobians reuse. */
+struct ImuTerms
+{
+    Mat3 ri, ri_t, rj;
+    Vec3 dbg;
+    Vec3 r_theta, r_p, r_v, r_bg, r_ba;
+    Vec3 p_term, v_term;
+};
+
+ImuTerms
+imuTerms(const ImuPreintegration &preint, const KeyframeState &si,
+         const KeyframeState &sj)
+{
+    const double dt = preint.dt();
+    ARCHYTAS_ASSERT(dt > 0.0, "IMU factor with zero integration time");
+
+    ImuTerms t;
+    t.ri = si.pose.q.toRotationMatrix();
+    t.ri_t = t.ri.transposed();
+    t.rj = sj.pose.q.toRotationMatrix();
+    const Vec3 g = gravityVector();
+
+    t.dbg = si.bias_gyro - preint.biasGyroLin();
+    const Vec3 dba = si.bias_accel - preint.biasAccelLin();
+
+    // Bias-corrected preintegrated measurements.
+    const Mat3 delta_r = preint.correctedDeltaR(t.dbg);
+    const Vec3 delta_v = preint.correctedDeltaV(t.dbg, dba);
+    const Vec3 delta_p = preint.correctedDeltaP(t.dbg, dba);
+
+    // Residuals.
+    const Mat3 r_err_mat = delta_r.transposed() * (t.ri_t * t.rj);
+    t.r_theta = so3Log(r_err_mat);
+    t.v_term = t.ri_t * (sj.velocity - si.velocity - g * dt);
+    t.r_v = t.v_term - delta_v;
+    t.p_term = t.ri_t * (sj.pose.p - si.pose.p - si.velocity * dt -
+                         g * (0.5 * dt * dt));
+    t.r_p = t.p_term - delta_p;
+    t.r_bg = sj.bias_gyro - si.bias_gyro;
+    t.r_ba = sj.bias_accel - si.bias_accel;
+    return t;
+}
+
+/** Writes the residual in [r_theta, r_p, r_v, r_bg, r_ba] order. */
+void
+setResidual(double *r, const ImuTerms &t)
+{
+    const Vec3 *parts[5] = {&t.r_theta, &t.r_p, &t.r_v, &t.r_bg, &t.r_ba};
+    for (int k = 0; k < 5; ++k) {
+        r[3 * k] = parts[k]->x;
+        r[3 * k + 1] = parts[k]->y;
+        r[3 * k + 2] = parts[k]->z;
+    }
+}
+
 } // namespace
 
 VisualFactorEval
@@ -50,6 +119,20 @@ evaluateVisualFactor(const PinholeCamera &camera, const Pose &anchor,
     return eval;
 }
 
+bool
+evaluateVisualResidual(Vec2 &residual, const PinholeCamera &camera,
+                       const Pose &anchor, const Pose &target,
+                       const Vec3 &bearing, double inv_depth,
+                       const Vec2 &measurement)
+{
+    Vec3 p_anchor, p_target;
+    if (!featureInTarget(camera, anchor, target, bearing, inv_depth,
+                         p_anchor, p_target))
+        return false;
+    residual = camera.projectUnchecked(p_target) - measurement;
+    return true;
+}
+
 void
 evaluateVisualFactorInto(VisualFactorEval &eval, const PinholeCamera &camera,
                          const Pose &anchor, const Pose &target,
@@ -57,14 +140,9 @@ evaluateVisualFactorInto(VisualFactorEval &eval, const PinholeCamera &camera,
                          const Vec2 &measurement)
 {
     eval.valid = false;
-    if (inv_depth <= 1e-6)
-        return;   // Behind or at infinity: uninformative.
-
-    // Point in the anchor camera, the world, then the target camera.
-    const Vec3 p_anchor = bearing * (1.0 / inv_depth);
-    const Vec3 p_world = anchor.transform(p_anchor);
-    const Vec3 p_target = target.inverseTransform(p_world);
-    if (p_target.z < camera.min_depth)
+    Vec3 p_anchor, p_target;
+    if (!featureInTarget(camera, anchor, target, bearing, inv_depth,
+                         p_anchor, p_target))
         return;
 
     const Vec2 predicted = camera.projectUnchecked(p_target);
@@ -108,61 +186,58 @@ ImuFactorEval
 evaluateImuFactor(const ImuPreintegration &preint, const KeyframeState &si,
                   const KeyframeState &sj)
 {
-    const double dt = preint.dt();
-    ARCHYTAS_ASSERT(dt > 0.0, "IMU factor with zero integration time");
-
-    const Mat3 ri = si.pose.q.toRotationMatrix();
-    const Mat3 ri_t = ri.transposed();
-    const Mat3 rj = sj.pose.q.toRotationMatrix();
-    const Vec3 g = gravityVector();
-
-    const Vec3 dbg = si.bias_gyro - preint.biasGyroLin();
-    const Vec3 dba = si.bias_accel - preint.biasAccelLin();
-
-    // Bias-corrected preintegrated measurements.
-    const Mat3 delta_r = preint.correctedDeltaR(dbg);
-    const Vec3 delta_v = preint.correctedDeltaV(dbg, dba);
-    const Vec3 delta_p = preint.correctedDeltaP(dbg, dba);
-
-    // Residuals.
-    const Mat3 r_err_mat = delta_r.transposed() * (ri_t * rj);
-    const Vec3 r_theta = so3Log(r_err_mat);
-    const Vec3 v_term = ri_t * (sj.velocity - si.velocity - g * dt);
-    const Vec3 r_v = v_term - delta_v;
-    const Vec3 p_term = ri_t * (sj.pose.p - si.pose.p -
-                                si.velocity * dt - g * (0.5 * dt * dt));
-    const Vec3 r_p = p_term - delta_p;
-    const Vec3 r_bg = sj.bias_gyro - si.bias_gyro;
-    const Vec3 r_ba = sj.bias_accel - si.bias_accel;
-
     ImuFactorEval eval;
-    eval.residual = linalg::Vector(15);
-    setVec3(eval.residual, 0, r_theta);
-    setVec3(eval.residual, 3, r_p);
-    setVec3(eval.residual, 6, r_v);
-    setVec3(eval.residual, 9, r_bg);
-    setVec3(eval.residual, 12, r_ba);
+    evaluateImuFactorInto(eval, preint, si, sj);
+    return eval;
+}
 
-    // Jacobians; tangent ordering [d_theta, d_p, d_v, d_bg, d_ba].
-    const Mat3 jr_inv = so3RightJacobianInverse(r_theta);
-    const Mat3 rj_t_ri = rj.transposed() * ri;
+ImuResidual
+evaluateImuResidual(const ImuPreintegration &preint, const KeyframeState &si,
+                    const KeyframeState &sj)
+{
+    ImuResidual r;
+    setResidual(r.data(), imuTerms(preint, si, sj));
+    return r;
+}
 
-    eval.j_i = linalg::Matrix(15, 15);
-    eval.j_j = linalg::Matrix(15, 15);
+void
+evaluateImuFactorInto(ImuFactorEval &eval, const ImuPreintegration &preint,
+                      const KeyframeState &si, const KeyframeState &sj)
+{
+    const double dt = preint.dt();
+    const ImuTerms t = imuTerms(preint, si, sj);
+    const Vec3 &dbg = t.dbg;
+    const Mat3 &ri_t = t.ri_t;
+
+    if (eval.residual.size() != kKeyframeDof)
+        eval.residual = linalg::Vector(kKeyframeDof);
+    setResidual(eval.residual.data().data(), t);
+
+    // Jacobians; tangent ordering [d_theta, d_p, d_v, d_bg, d_ba]. Only
+    // the blocks set below are non-zero.
+    const Mat3 jr_inv = so3RightJacobianInverse(t.r_theta);
+    const Mat3 rj_t_ri = t.rj.transposed() * t.ri;
+
+    for (linalg::Matrix *j : {&eval.j_i, &eval.j_j}) {
+        if (j->rows() == kKeyframeDof && j->cols() == kKeyframeDof)
+            j->setZero();
+        else
+            *j = linalg::Matrix(kKeyframeDof, kKeyframeDof);
+    }
 
     // r_theta rows.
     setBlock3(eval.j_i, 0, 0, (jr_inv * rj_t_ri) * -1.0);
     {
         // d r_theta / d bg_i through the bias-corrected deltaR.
         const Vec3 corr = preint.dRdBg() * dbg;
-        const Mat3 d = ((jr_inv * so3Exp(r_theta).transposed()) *
+        const Mat3 d = ((jr_inv * so3Exp(t.r_theta).transposed()) *
                         so3RightJacobian(corr)) * preint.dRdBg() * -1.0;
         setBlock3(eval.j_i, 0, 9, d);
     }
     setBlock3(eval.j_j, 0, 0, jr_inv);
 
     // r_p rows.
-    setBlock3(eval.j_i, 3, 0, skew(p_term));
+    setBlock3(eval.j_i, 3, 0, skew(t.p_term));
     setBlock3(eval.j_i, 3, 3, ri_t * -1.0);
     setBlock3(eval.j_i, 3, 6, ri_t * -dt);
     setBlock3(eval.j_i, 3, 9, preint.dPdBg() * -1.0);
@@ -170,7 +245,7 @@ evaluateImuFactor(const ImuPreintegration &preint, const KeyframeState &si,
     setBlock3(eval.j_j, 3, 3, ri_t);
 
     // r_v rows.
-    setBlock3(eval.j_i, 6, 0, skew(v_term));
+    setBlock3(eval.j_i, 6, 0, skew(t.v_term));
     setBlock3(eval.j_i, 6, 6, ri_t * -1.0);
     setBlock3(eval.j_i, 6, 9, preint.dVdBg() * -1.0);
     setBlock3(eval.j_i, 6, 12, preint.dVdBa() * -1.0);
@@ -181,33 +256,6 @@ evaluateImuFactor(const ImuPreintegration &preint, const KeyframeState &si,
     setBlock3(eval.j_j, 9, 9, Mat3::identity());
     setBlock3(eval.j_i, 12, 12, Mat3::identity() * -1.0);
     setBlock3(eval.j_j, 12, 12, Mat3::identity());
-
-    // Information: invert blkdiag(cov9 permuted to [theta, p, v], bias RW).
-    const linalg::Matrix &cov9 = preint.covariance();  // [theta, v, p].
-    linalg::Matrix cov15(15, 15);
-    // Permutation map from residual row -> cov9 row.
-    const std::size_t perm[9] = {0, 1, 2, 6, 7, 8, 3, 4, 5};
-    for (int r = 0; r < 9; ++r)
-        for (int c = 0; c < 9; ++c)
-            cov15(r, c) = cov9(perm[r], perm[c]);
-    const linalg::Matrix bias_cov = preint.biasWalkCovariance();
-    for (int r = 0; r < 6; ++r)
-        for (int c = 0; c < 6; ++c)
-            cov15(9 + r, 9 + c) = bias_cov(r, c);
-    // Regularize so short integrations stay invertible.
-    for (int i = 0; i < 15; ++i)
-        cov15(i, i) += 1e-12;
-    eval.information = linalg::choleskyInverse(cov15);
-    // Symmetrize: the inverse is symmetric analytically but accumulates
-    // round-off that would otherwise leak into the normal equations.
-    for (int r = 0; r < 15; ++r)
-        for (int c = r + 1; c < 15; ++c) {
-            const double s =
-                0.5 * (eval.information(r, c) + eval.information(c, r));
-            eval.information(r, c) = s;
-            eval.information(c, r) = s;
-        }
-    return eval;
 }
 
 } // namespace archytas::slam

@@ -10,6 +10,8 @@
 #ifndef ARCHYTAS_SLAM_FACTORS_HH
 #define ARCHYTAS_SLAM_FACTORS_HH
 
+#include <array>
+
 #include "linalg/matrix.hh"
 #include "slam/camera.hh"
 #include "slam/imu.hh"
@@ -64,13 +66,27 @@ void evaluateVisualFactorInto(VisualFactorEval &eval,
                               const Vec3 &bearing, double inv_depth,
                               const Vec2 &measurement);
 
-/** Evaluation of one IMU factor between keyframes i and j. */
+/**
+ * Residual-only visual evaluation for LM step checks: the validity and
+ * residual of evaluateVisualFactorInto, bit for bit (both share one
+ * projection), without the Jacobians.
+ *
+ * @return false when the point projects badly; residual is then unset.
+ */
+bool evaluateVisualResidual(Vec2 &residual, const PinholeCamera &camera,
+                            const Pose &anchor, const Pose &target,
+                            const Vec3 &bearing, double inv_depth,
+                            const Vec2 &measurement);
+
+/**
+ * Evaluation of one IMU factor between keyframes i and j. Its weight is
+ * the preintegration's cached ImuPreintegration::information().
+ */
 struct ImuFactorEval
 {
     linalg::Vector residual;    //!< 15: [r_theta, r_p, r_v, r_bg, r_ba].
     linalg::Matrix j_i;         //!< 15 x 15 w.r.t. state i tangent.
     linalg::Matrix j_j;         //!< 15 x 15 w.r.t. state j tangent.
-    linalg::Matrix information; //!< 15 x 15 weight (inverse covariance).
 };
 
 /**
@@ -79,6 +95,26 @@ struct ImuFactorEval
  * ([d_theta, d_p, d_v, d_bg, d_ba] ordering).
  */
 ImuFactorEval evaluateImuFactor(const ImuPreintegration &preint,
+                                const KeyframeState &si,
+                                const KeyframeState &sj);
+
+/**
+ * Destination-passing variant: reuses eval's storage, so a warmed-up
+ * eval evaluates without allocating. Bit-identical to evaluateImuFactor
+ * (which wraps this one).
+ */
+void evaluateImuFactorInto(ImuFactorEval &eval,
+                           const ImuPreintegration &preint,
+                           const KeyframeState &si, const KeyframeState &sj);
+
+/** IMU residual in ImuFactorEval::residual order. */
+using ImuResidual = std::array<double, kKeyframeDof>;
+
+/**
+ * Residual-only IMU evaluation for LM step checks: the residual of
+ * evaluateImuFactor, bit for bit, without the two 15 x 15 Jacobians.
+ */
+ImuResidual evaluateImuResidual(const ImuPreintegration &preint,
                                 const KeyframeState &si,
                                 const KeyframeState &sj);
 

@@ -1,6 +1,7 @@
 #include "slam/imu.hh"
 
 #include "common/logging.hh"
+#include "linalg/cholesky.hh"
 
 namespace archytas::slam {
 
@@ -82,6 +83,7 @@ ImuPreintegration::integrate(const ImuSample &sample)
 
     dt_ += dt;
     ++samples_;
+    information_valid_ = false;
 }
 
 void
@@ -102,6 +104,39 @@ ImuPreintegration::biasWalkCovariance() const
         c(3 + i, 3 + i) = a2;
     }
     return c;
+}
+
+const linalg::Matrix &
+ImuPreintegration::information() const
+{
+    if (information_valid_)
+        return information_;
+    // Invert blkdiag(cov_ permuted to [theta, p, v], bias RW).
+    linalg::Matrix cov15(15, 15);
+    // Permutation map from residual row -> cov_ row ([theta, v, p]).
+    const std::size_t perm[9] = {0, 1, 2, 6, 7, 8, 3, 4, 5};
+    for (int r = 0; r < 9; ++r)
+        for (int c = 0; c < 9; ++c)
+            cov15(r, c) = cov_(perm[r], perm[c]);
+    const linalg::Matrix bias_cov = biasWalkCovariance();
+    for (int r = 0; r < 6; ++r)
+        for (int c = 0; c < 6; ++c)
+            cov15(9 + r, 9 + c) = bias_cov(r, c);
+    // Regularize so short integrations stay invertible.
+    for (int i = 0; i < 15; ++i)
+        cov15(i, i) += 1e-12;
+    information_ = linalg::choleskyInverse(cov15);
+    // Symmetrize: the inverse is symmetric analytically but accumulates
+    // round-off that would otherwise leak into the normal equations.
+    for (int r = 0; r < 15; ++r)
+        for (int c = r + 1; c < 15; ++c) {
+            const double s =
+                0.5 * (information_(r, c) + information_(c, r));
+            information_(r, c) = s;
+            information_(c, r) = s;
+        }
+    information_valid_ = true;
+    return information_;
 }
 
 Mat3

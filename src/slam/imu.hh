@@ -78,6 +78,18 @@ class ImuPreintegration
     /** Bias random-walk covariance accumulated over dt (6x6 diagonal). */
     linalg::Matrix biasWalkCovariance() const;
 
+    /**
+     * 15x15 weight of the IMU factor residual [r_theta, r_p, r_v, r_bg,
+     * r_ba]: the symmetrized inverse of blkdiag(covariance() permuted to
+     * [theta, p, v], biasWalkCovariance()), regularized so short
+     * integrations stay invertible. It depends only on the integrated
+     * samples, so it is computed on first use and cached until the next
+     * integrate(). The cache is unsynchronized: one session's factor
+     * loops are serial, and no two threads may call this on the same
+     * preintegration at once.
+     */
+    const linalg::Matrix &information() const;
+
     /** Number of samples integrated. */
     std::size_t sampleCount() const { return samples_; }
 
@@ -104,6 +116,9 @@ class ImuPreintegration
 
     linalg::Matrix cov_;
     std::size_t samples_ = 0;
+
+    mutable linalg::Matrix information_;     //!< Cache of information().
+    mutable bool information_valid_ = false;
 };
 
 } // namespace archytas::slam

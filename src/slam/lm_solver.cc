@@ -81,7 +81,7 @@ solveWindow(WindowProblem &problem, const LmOptions &options,
             }
             if (hook)
                 hook(dy, dx);
-            const auto snap = problem.snapshot();
+            problem.snapshotInto(scratch.trial);
             problem.applyDelta(dy, dx);
             const double new_cost = problem.evaluateCost();
             if (!std::isfinite(new_cost))
@@ -97,7 +97,7 @@ solveWindow(WindowProblem &problem, const LmOptions &options,
                 }
                 break;
             }
-            problem.restore(snap);
+            problem.restore(scratch.trial);
             ARCHYTAS_COUNT_ADD("solver.step_rejections", 1);
             lambda *= options.lambda_up;
         }

@@ -86,6 +86,7 @@ struct SolverScratch
     linalg::Vector chol_y;    //!< Forward-substitution intermediate.
     linalg::Vector dy;        //!< Keyframe increment of the current step.
     linalg::Vector dx;        //!< Feature increment of the current step.
+    WindowProblem::Snapshot trial; //!< States before the trial step.
 };
 
 /**

@@ -135,9 +135,10 @@ marginalizeOldestKeyframe(const PinholeCamera &camera,
     if (preint01 && preint01->sampleCount() > 0) {
         const ImuFactorEval ev =
             evaluateImuFactor(*preint01, keyframes[0], keyframes[1]);
-        linalg::multiplyInto(scratch.imu_lr, ev.information, ev.residual);
-        linalg::multiplyInto(scratch.imu_li, ev.information, ev.j_i);
-        linalg::multiplyInto(scratch.imu_lj, ev.information, ev.j_j);
+        const linalg::Matrix &information = preint01->information();
+        linalg::multiplyInto(scratch.imu_lr, information, ev.residual);
+        linalg::multiplyInto(scratch.imu_li, information, ev.j_i);
+        linalg::multiplyInto(scratch.imu_lj, information, ev.j_j);
         const linalg::Vector &lr = scratch.imu_lr;
         const std::size_t r0 = kfOffset(0);
         const std::size_t r1 = kfOffset(1);

@@ -13,10 +13,13 @@ PriorFactor::PriorFactor(linalg::Matrix h, linalg::Vector r,
     ARCHYTAS_ASSERT(r_.size() == dim(), "prior r dimension mismatch");
 }
 
-linalg::Vector
-keyframeBoxMinus(const KeyframeState &current, const KeyframeState &lin)
+namespace {
+
+/** keyframeBoxMinus into kKeyframeDof entries at dx. */
+void
+keyframeBoxMinusInto(double *dx, const KeyframeState &current,
+                     const KeyframeState &lin)
 {
-    linalg::Vector dx(kKeyframeDof);
     const Mat3 r0t = lin.pose.q.toRotationMatrix().transposed();
     const Vec3 d_theta = so3Log(r0t * current.pose.q.toRotationMatrix());
     const Vec3 d_p = current.pose.p - lin.pose.p;
@@ -30,6 +33,15 @@ keyframeBoxMinus(const KeyframeState &current, const KeyframeState &lin)
         dx[9 + i] = d_bg[i];
         dx[12 + i] = d_ba[i];
     }
+}
+
+} // namespace
+
+linalg::Vector
+keyframeBoxMinus(const KeyframeState &current, const KeyframeState &lin)
+{
+    linalg::Vector dx(kKeyframeDof);
+    keyframeBoxMinusInto(dx.data().data(), current, lin);
     return dx;
 }
 
@@ -40,9 +52,32 @@ PriorFactor::boxMinus(const std::vector<KeyframeState> &current) const
                     "prior covers more keyframes than the window holds");
     linalg::Vector dx(dim());
     for (std::size_t i = 0; i < lin_.size(); ++i)
-        dx.setSegment(i * kKeyframeDof,
-                      keyframeBoxMinus(current[i], lin_[i]));
+        keyframeBoxMinusInto(dx.data().data() + i * kKeyframeDof,
+                             current[i], lin_[i]);
     return dx;
+}
+
+void
+PriorFactor::deviation(const std::vector<KeyframeState> &current,
+                       linalg::Vector &dx, linalg::Vector &hdx) const
+{
+    dx = boxMinus(current);
+    hdx = linalg::Vector(dim());
+    const double *d = dx.data().data();
+    for (std::size_t r = 0; r < dim(); ++r) {
+        const double *hrow = h_.rowPtr(r);
+        double acc = 0.0;
+        for (std::size_t c = 0; c < dim(); ++c)
+            acc += hrow[c] * d[c];
+        hdx[r] = acc;
+    }
+}
+
+double
+PriorFactor::costFrom(const linalg::Vector &dx,
+                      const linalg::Vector &hdx) const
+{
+    return 0.5 * dx.dot(hdx) - r_.dot(dx);
 }
 
 double
@@ -50,26 +85,29 @@ PriorFactor::cost(const std::vector<KeyframeState> &current) const
 {
     if (empty())
         return 0.0;
-    const linalg::Vector dx = boxMinus(current);
-    const linalg::Vector hdx = h_ * dx;
-    return 0.5 * dx.dot(hdx) - r_.dot(dx);
+    linalg::Vector dx, hdx;
+    deviation(current, dx, hdx);
+    return costFrom(dx, hdx);
 }
 
-void
+double
 PriorFactor::accumulate(const std::vector<KeyframeState> &current,
                         linalg::Matrix &h_out, linalg::Vector &b_out) const
 {
     if (empty())
-        return;
+        return 0.0;
     ARCHYTAS_ASSERT(h_out.rows() >= dim() && b_out.size() >= dim(),
                     "prior accumulate target too small");
-    const linalg::Vector dx = boxMinus(current);
-    const linalg::Vector grad_side = r_ - h_ * dx;
+    linalg::Vector dx, hdx;
+    deviation(current, dx, hdx);
     for (std::size_t r = 0; r < dim(); ++r) {
-        b_out[r] += grad_side[r];
+        b_out[r] += r_[r] - hdx[r];
+        const double *hrow = h_.rowPtr(r);
+        double *orow = h_out.rowPtr(r);
         for (std::size_t c = 0; c < dim(); ++c)
-            h_out(r, c) += h_(r, c);
+            orow[c] += hrow[c];
     }
+    return costFrom(dx, hdx);
 }
 
 PriorFactor

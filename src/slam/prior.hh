@@ -55,10 +55,12 @@ class PriorFactor
 
     /**
      * Accumulates the prior into dense normal equations over the window's
-     * keyframe states: h_out (15b x 15b) += H, b_out += r - H dx.
+     * keyframe states, h_out (15b x 15b) += H and b_out += r - H dx, and
+     * returns cost(current): one boxMinus and one H dx serve both, with
+     * the same bits as the separate calls.
      */
-    void accumulate(const std::vector<KeyframeState> &current,
-                    linalg::Matrix &h_out, linalg::Vector &b_out) const;
+    double accumulate(const std::vector<KeyframeState> &current,
+                      linalg::Matrix &h_out, linalg::Vector &b_out) const;
 
     /**
      * Drops the first keyframe's 15 rows/cols, used when the covered
@@ -68,6 +70,13 @@ class PriorFactor
     PriorFactor shifted() const;
 
   private:
+    /** dx = boxMinus(current) and hdx = H dx, rows summed left to right. */
+    void deviation(const std::vector<KeyframeState> &current,
+                   linalg::Vector &dx, linalg::Vector &hdx) const;
+    /** 0.5 dx^T H dx - r^T dx from a deviation(). */
+    double costFrom(const linalg::Vector &dx,
+                    const linalg::Vector &hdx) const;
+
     linalg::Matrix h_;
     linalg::Vector r_;
     std::vector<KeyframeState> lin_;

@@ -63,6 +63,67 @@ prepareVector(linalg::Vector &out, std::size_t n)
 }
 
 /**
+ * dst += src for a pose-only visual partial: src packs the kPoseDof x
+ * kPoseDof pose blocks of dst's kKeyframeDof-strided blocks. The other
+ * rows and columns of the visual part are exact zeros, and a plain add
+ * is the alpha = 1 axpy's single rounding, so dst ends with the bits a
+ * full-size merge gives.
+ */
+void
+addPoseBlocks(linalg::Matrix &dst, const linalg::MatrixView &src)
+{
+    const std::size_t nb = src.rows() / kPoseDof;
+    for (std::size_t r = 0; r < src.rows(); ++r) {
+        const double *srow = src.rowPtr(r);
+        double *drow =
+            dst.rowPtr(r / kPoseDof * kKeyframeDof + r % kPoseDof);
+        for (std::size_t bj = 0; bj < nb; ++bj)
+            for (std::size_t c = 0; c < kPoseDof; ++c)
+                drow[bj * kKeyframeDof + c] += srow[bj * kPoseDof + c];
+    }
+}
+
+/** As addPoseBlocks for a pose-only rhs partial of n entries. */
+void
+addPoseSegments(linalg::Vector &dst, const double *src, std::size_t n)
+{
+    double *d = dst.data().data();
+    for (std::size_t r = 0; r < n; ++r)
+        d[r / kPoseDof * kKeyframeDof + r % kPoseDof] += src[r];
+}
+
+/** Huber IRLS weight of one visual residual: quadratic inside delta,
+ *  linear beyond (delta 0 disables the kernel). */
+double
+huberWeight(double weight, double delta, const Vec2 &res)
+{
+    if (delta > 0.0) {
+        const double norm = res.norm();
+        if (norm > delta)
+            weight *= delta / norm;
+    }
+    return weight;
+}
+
+/**
+ * One IMU factor's cost 0.5 r^T Lambda r, leaving lr = Lambda r for the
+ * rhs. The row products run on the simd dot, as multiplyInto does, and
+ * the outer dot sums left to right, so build() and evaluateCost() agree
+ * bit for bit.
+ */
+double
+imuCost(const linalg::Matrix &information, const double *r, double *lr)
+{
+    const linalg::simd::Ops &v = linalg::simd::ops();
+    for (std::size_t i = 0; i < kKeyframeDof; ++i)
+        lr[i] = v.dot(information.rowPtr(i), r, kKeyframeDof);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < kKeyframeDof; ++i)
+        acc += r[i] * lr[i];
+    return 0.5 * acc;
+}
+
+/**
  * Structure-only choice of the Schur elimination path: the sparse path
  * wins when features observe few enough keyframe blocks. Values never
  * enter the decision, so both solver paths (software and hardware
@@ -122,6 +183,9 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
     ARCHYTAS_SPAN("solver", "solver.jacobian");
     const std::size_t m = features_.size();
     const std::size_t nk = keyframeDim();
+    // Visual factors reach only the pose rows of a keyframe block, so the
+    // shards pack those: np = 6 K rows instead of nk = 15 K.
+    const std::size_t np = keyframes_.size() * kPoseDof;
 
     prepareVector(eq.u_diag, m);
     prepareMatrix(eq.w, nk, m);
@@ -168,7 +232,7 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
         eq.support_offsets.push_back(
             static_cast<std::uint32_t>(eq.support_blocks.size()));
     }
-    eq.w_blocks.resize(eq.support_blocks.size() * kKeyframeDof);
+    eq.w_blocks.resize(eq.support_blocks.size() * kPoseDof);
 
     // --- Shard carving (serial; the arena is not thread-safe) ---
     const std::size_t grain = featureGrain(m);
@@ -179,20 +243,20 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
     for (std::size_t c = 0; c < nchunks; ++c) {
         AssemblyShard &sh = scratch.shards[c];
         sh.v = linalg::MatrixView(
-            scratch.arena.allocateArray<double>(nk * nk), nk, nk);
-        sh.by = scratch.arena.allocateArray<double>(nk);
+            scratch.arena.allocateArray<double>(np * np), np, np);
+        sh.by = scratch.arena.allocateArray<double>(np);
         sh.v.setZero();
-        std::fill(sh.by, sh.by + nk, 0.0);
+        std::fill(sh.by, sh.by + np, 0.0);
         sh.cost = 0.0;
     }
 
     // --- Visual factors (parallel per-feature chunk) ---
     // Feature f exclusively owns u_diag[f], bx[f], column f of W, and
-    // its w_blocks segment, so chunk tasks write those into the shared
-    // system directly (disjoint writes). The keyframe-side block V, the
-    // rhs by, and the cost are shared sums: each chunk accumulates into
-    // its own arena-backed shard and the shards merge sequentially in
-    // chunk order below, so the result is bit-identical at any thread
+    // its w_blocks segments, so chunk tasks write those into the shared
+    // system directly (disjoint writes). The pose blocks of V, the rhs
+    // by, and the cost are shared sums: each chunk accumulates into its
+    // own arena-backed pose-only shard and the shards merge sequentially
+    // in chunk order below, so the result is bit-identical at any thread
     // count.
     parallel::parallelForChunks(
         0, m, grain, [&](std::size_t b, std::size_t e) {
@@ -213,20 +277,19 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
                         continue;
 
                     const double res[2] = {ev.residual.u, ev.residual.v};
-                    // Huber IRLS weight: quadratic inside delta, linear
-                    // beyond.
-                    double wt = visual_weight_;
-                    if (huber_delta_ > 0.0) {
-                        const double norm = ev.residual.norm();
-                        if (norm > huber_delta_)
-                            wt *= huber_delta_ / norm;
-                    }
+                    const double wt =
+                        huberWeight(visual_weight_, huber_delta_,
+                                    ev.residual);
                     sh.cost +=
                         0.5 * wt * (res[0] * res[0] + res[1] * res[1]);
 
+                    // W rows (15-strided) and shard rows (6-strided) of
+                    // the anchor and target pose blocks.
                     const std::size_t ra = a_idx * kKeyframeDof;
                     const std::size_t rt =
                         obs.keyframe_index * kKeyframeDof;
+                    const std::size_t pa = a_idx * kPoseDof;
+                    const std::size_t pt = obs.keyframe_index * kPoseDof;
 
                     // U (diagonal): j_depth^T j_depth.
                     eq.u_diag[f] +=
@@ -245,35 +308,36 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
                                                       ev.j_depth, wt);
 
                     // V contributions: (a,a), (a,t), (t,a), (t,t).
-                    linalg::addOuterProductTransposed(sh.v, ra, ra,
+                    linalg::addOuterProductTransposed(sh.v, pa, pa,
                                                       ev.j_anchor,
                                                       ev.j_anchor, wt);
-                    linalg::addOuterProductTransposed(sh.v, ra, rt,
+                    linalg::addOuterProductTransposed(sh.v, pa, pt,
                                                       ev.j_anchor,
                                                       ev.j_target, wt);
-                    linalg::addOuterProductTransposed(sh.v, rt, ra,
+                    linalg::addOuterProductTransposed(sh.v, pt, pa,
                                                       ev.j_target,
                                                       ev.j_anchor, wt);
-                    linalg::addOuterProductTransposed(sh.v, rt, rt,
+                    linalg::addOuterProductTransposed(sh.v, pt, pt,
                                                       ev.j_target,
                                                       ev.j_target, wt);
 
                     // by.
-                    linalg::subtractTransposeApplyScaled(sh.by, nk, ra,
+                    linalg::subtractTransposeApplyScaled(sh.by, np, pa,
                                                          ev.j_anchor, res,
                                                          wt);
-                    linalg::subtractTransposeApplyScaled(sh.by, nk, rt,
+                    linalg::subtractTransposeApplyScaled(sh.by, np, pt,
                                                          ev.j_target, res,
                                                          wt);
                 }
                 // Column f of W is final once its observations are done;
-                // gather its support segments for the sparse Schur path.
+                // gather the pose rows of its support blocks for the
+                // sparse Schur path.
                 for (std::size_t s = eq.support_offsets[f];
                      s < eq.support_offsets[f + 1]; ++s) {
                     const std::size_t row0 =
                         eq.support_blocks[s] * kKeyframeDof;
-                    double *dst = eq.w_blocks.data() + s * kKeyframeDof;
-                    for (std::size_t r = 0; r < kKeyframeDof; ++r)
+                    double *dst = eq.w_blocks.data() + s * kPoseDof;
+                    for (std::size_t r = 0; r < kPoseDof; ++r)
                         dst[r] = eq.w(row0 + r, f);
                 }
             }
@@ -283,25 +347,26 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
     double cost = 0.0;
     for (std::size_t c = 0; c < nchunks; ++c) {
         const AssemblyShard &sh = scratch.shards[c];
-        linalg::addInto(eq.v, sh.v);
-        linalg::addInto(eq.by, sh.by, nk);
+        addPoseBlocks(eq.v, sh.v);
+        addPoseSegments(eq.by, sh.by, np);
         cost += sh.cost;
         // The camera-only split receives exactly the visual-factor
         // updates, which is precisely what the shards hold.
         if (mode == BuildMode::kFull)
-            linalg::addInto(eq.v_camera, sh.v);
+            addPoseBlocks(eq.v_camera, sh.v);
     }
 
     // --- IMU factors (adjacent keyframes only; serial, at most one per
-    // pair, with hoisted product scratch) ---
+    // pair, with hoisted evaluation and product scratch) ---
     for (std::size_t i = 0; i + 1 < keyframes_.size(); ++i) {
         if (!preints_[i] || preints_[i]->sampleCount() == 0)
             continue;
-        const ImuFactorEval ev =
-            evaluateImuFactor(*preints_[i], keyframes_[i], keyframes_[i+1]);
-        linalg::multiplyInto(scratch.imu_lr, ev.information, ev.residual);
-        const linalg::Vector &lr = scratch.imu_lr;
-        cost += 0.5 * ev.residual.dot(lr);
+        ImuFactorEval &ev = scratch.imu;
+        evaluateImuFactorInto(ev, *preints_[i], keyframes_[i],
+                              keyframes_[i + 1]);
+        const linalg::Matrix &information = preints_[i]->information();
+        double lr[kKeyframeDof];
+        cost += imuCost(information, ev.residual.data().data(), lr);
 
         const std::size_t ri = i * kKeyframeDof;
         const std::size_t rj = (i + 1) * kKeyframeDof;
@@ -309,8 +374,8 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
         // H += J^T Lambda J for both state blocks.
         linalg::Matrix &li = scratch.imu_li;
         linalg::Matrix &lj = scratch.imu_lj;
-        linalg::multiplyInto(li, ev.information, ev.j_i);
-        linalg::multiplyInto(lj, ev.information, ev.j_j);
+        linalg::multiplyInto(li, information, ev.j_i);
+        linalg::multiplyInto(lj, information, ev.j_j);
         linalg::addOuterProductTransposed(eq.v, ri, ri, ev.j_i, li, 1.0);
         linalg::addOuterProductTransposed(eq.v, ri, rj, ev.j_i, lj, 1.0);
         linalg::addOuterProductTransposed(eq.v, rj, ri, ev.j_j, li, 1.0);
@@ -326,15 +391,12 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
                                               lj, 1.0);
         }
 
-        linalg::subtractTransposeApplyScaled(eq.by, ri, ev.j_i,
-                                             lr.data().data(), 1.0);
-        linalg::subtractTransposeApplyScaled(eq.by, rj, ev.j_j,
-                                             lr.data().data(), 1.0);
+        linalg::subtractTransposeApplyScaled(eq.by, ri, ev.j_i, lr, 1.0);
+        linalg::subtractTransposeApplyScaled(eq.by, rj, ev.j_j, lr, 1.0);
     }
 
     // --- Marginalization prior ---
-    prior_.accumulate(keyframes_, eq.v, eq.by);
-    cost += prior_.cost(keyframes_);
+    cost += prior_.accumulate(keyframes_, eq.v, eq.by);
 
     eq.cost = cost;
 }
@@ -342,47 +404,37 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
 double
 WindowProblem::evaluateCost() const
 {
-    // Same fixed chunking and merge order as build(), so the two cost
-    // paths agree bit-for-bit at any thread count.
-    struct CostPartial
-    {
-        double cost = 0.0;
-        VisualFactorEval ev;
-    };
+    // Residuals only. Same fixed chunking and merge order as build(), so
+    // the two cost paths agree bit-for-bit at any thread count.
     double cost = 0.0;
     parallel::mapReduceOrdered(
         0, features_.size(), featureGrain(features_.size()),
-        [] { return CostPartial{}; },
-        [&](CostPartial &p, std::size_t f) {
+        [] { return 0.0; },
+        [&](double &partial, std::size_t f) {
             const Feature &feat = features_[f];
             for (const auto &obs : feat.observations) {
                 if (obs.keyframe_index == feat.anchor_index)
                     continue;
-                evaluateVisualFactorInto(
-                    p.ev, camera_, keyframes_[feat.anchor_index].pose,
-                    keyframes_[obs.keyframe_index].pose,
-                    feat.anchor_bearing, feat.inverse_depth, obs.pixel);
-                if (!p.ev.valid)
+                Vec2 res;
+                if (!evaluateVisualResidual(
+                        res, camera_, keyframes_[feat.anchor_index].pose,
+                        keyframes_[obs.keyframe_index].pose,
+                        feat.anchor_bearing, feat.inverse_depth,
+                        obs.pixel))
                     continue;
-                double wt = visual_weight_;
-                if (huber_delta_ > 0.0) {
-                    const double norm = p.ev.residual.norm();
-                    if (norm > huber_delta_)
-                        wt *= huber_delta_ / norm;
-                }
-                p.cost += 0.5 * wt * (p.ev.residual.u * p.ev.residual.u +
-                                      p.ev.residual.v * p.ev.residual.v);
+                const double wt =
+                    huberWeight(visual_weight_, huber_delta_, res);
+                partial += 0.5 * wt * (res.u * res.u + res.v * res.v);
             }
         },
-        [&](CostPartial &&p) { cost += p.cost; });
-    linalg::Vector lr;
+        [&](double &&partial) { cost += partial; });
     for (std::size_t i = 0; i + 1 < keyframes_.size(); ++i) {
         if (!preints_[i] || preints_[i]->sampleCount() == 0)
             continue;
-        const ImuFactorEval ev =
-            evaluateImuFactor(*preints_[i], keyframes_[i], keyframes_[i+1]);
-        linalg::multiplyInto(lr, ev.information, ev.residual);
-        cost += 0.5 * ev.residual.dot(lr);
+        const ImuResidual r =
+            evaluateImuResidual(*preints_[i], keyframes_[i], keyframes_[i+1]);
+        double lr[kKeyframeDof];
+        cost += imuCost(preints_[i]->information(), r.data(), lr);
     }
     cost += prior_.cost(keyframes_);
     return cost;
@@ -416,7 +468,8 @@ formReducedSystem(const NormalEquations &eq, double lambda,
     if (useSparseSchur(eq)) {
         linalg::subtractBlockSparseSchur(
             rs.reduced, rs.rhs, eq.bx, rs.inv_u.data(), kKeyframeDof,
-            eq.support_offsets, eq.support_blocks, eq.w_blocks, rs.arena);
+            kPoseDof, eq.support_offsets, eq.support_blocks, eq.w_blocks,
+            rs.arena);
         return;
     }
 
@@ -439,19 +492,27 @@ recoverFeatureIncrements(linalg::Vector &dx, const NormalEquations &eq,
     const std::size_t nk = eq.w.rows();
     ARCHYTAS_CHECK_DIM("recoverFeatureIncrements: dy size", dy.size(), nk);
     ARCHYTAS_CHECK_DIM("recoverFeatureIncrements: pivots", rs.u.size(), m);
+    ARCHYTAS_ASSERT(eq.hasSupport(),
+                    "recoverFeatureIncrements needs W's support structure");
     if (dx.size() != m)
         dx = linalg::Vector(m);
-    const double *wd = eq.w.data().data();
     const double *dyd = dy.data().data();
     double *dxd = dx.data().data();
-    // Each feature owns dx[f] and its arithmetic order is fixed, so the
-    // parallel split cannot change the bits.
-    parallel::parallelFor(0, m, [&](std::size_t f) {
+    // W's column f is zero outside the pose rows of its support blocks,
+    // which ascend, so the segment walk subtracts the dense column's
+    // non-zero terms in the dense order; the terms it skips are exact
+    // zeros.
+    for (std::size_t f = 0; f < m; ++f) {
         double acc = eq.bx[f];
-        for (std::size_t r = 0; r < nk; ++r)
-            acc -= wd[r * m + f] * dyd[r];
+        for (std::size_t s = eq.support_offsets[f];
+             s < eq.support_offsets[f + 1]; ++s) {
+            const double *seg = eq.w_blocks.data() + s * kPoseDof;
+            const double *dyb = dyd + eq.support_blocks[s] * kKeyframeDof;
+            for (std::size_t r = 0; r < kPoseDof; ++r)
+                acc -= seg[r] * dyb[r];
+        }
         dxd[f] = acc / rs.u[f];
-    });
+    }
 }
 
 void
@@ -469,11 +530,17 @@ WindowProblem::Snapshot
 WindowProblem::snapshot() const
 {
     Snapshot snap;
-    snap.keyframes = keyframes_;
-    snap.inverse_depths.reserve(features_.size());
-    for (const Feature &f : features_)
-        snap.inverse_depths.push_back(f.inverse_depth);
+    snapshotInto(snap);
     return snap;
+}
+
+void
+WindowProblem::snapshotInto(Snapshot &snap) const
+{
+    snap.keyframes = keyframes_;
+    snap.inverse_depths.resize(features_.size());
+    for (std::size_t f = 0; f < features_.size(); ++f)
+        snap.inverse_depths[f] = features_[f].inverse_depth;
 }
 
 void

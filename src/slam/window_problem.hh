@@ -56,11 +56,15 @@ struct NormalEquations
      * CSR-like block support of W, keyed on feature-track structure:
      * feature f touches the keyframe blocks
      * support_blocks[support_offsets[f] .. support_offsets[f+1]) (sorted,
-     * unique: the anchor plus every observed target keyframe), and
-     * w_blocks stores the matching kKeyframeDof-long segments of W's
-     * column f, contiguously per feature. The Schur elimination uses
-     * this to skip the zero blocks of W (formReducedSystem). Empty for
-     * hand-assembled equations, which then take the dense path.
+     * unique: the anchor plus every observed target keyframe). Visual
+     * factors fill only the kPoseDof pose rows of a block (Sec. 3.3), so
+     * w_blocks stores, contiguously per feature, the kPoseDof-long
+     * pose-row segment of W's column f in each support block; the other
+     * rows of W are exact zeros. The Schur elimination and the feature
+     * back-substitution use this to skip them (formReducedSystem,
+     * recoverFeatureIncrements). Empty for hand-assembled equations:
+     * formReducedSystem then takes the dense Schur path, and
+     * recoverFeatureIncrements refuses them.
      */
     std::vector<std::uint32_t> support_offsets; //!< m + 1 entries.
     std::vector<std::uint32_t> support_blocks;
@@ -72,7 +76,7 @@ struct NormalEquations
     {
         return !support_offsets.empty() &&
                support_offsets.size() == u_diag.size() + 1 &&
-               w_blocks.size() == support_blocks.size() * kKeyframeDof;
+               w_blocks.size() == support_blocks.size() * kPoseDof;
     }
 };
 
@@ -84,34 +88,36 @@ enum class BuildMode
 };
 
 /**
- * One parallel chunk's accumulators for build(). The keyframe-block
- * partial and rhs live in the owning scratch's arena (carved serially
- * before the parallel region; see common/arena.hh ownership rules); the
- * factor-evaluation buffers keep their heap storage across frames.
+ * One parallel chunk's visual-factor accumulators for build(). Visual
+ * factors reach only the pose rows of a keyframe block, so the partial
+ * packs the kPoseDof x kPoseDof pose blocks: (6 K)^2 for K keyframes,
+ * not (15 K)^2. The partial and rhs live in the owning scratch's arena
+ * (carved serially before the parallel region; see common/arena.hh
+ * ownership rules); the factor-evaluation buffers keep their heap
+ * storage across frames.
  */
 struct AssemblyShard
 {
-    linalg::MatrixView v;  //!< Keyframe-block partial (nk x nk).
-    double *by = nullptr;  //!< Keyframe rhs partial (nk entries).
+    linalg::MatrixView v;  //!< Pose-pose partial (6 K x 6 K).
+    double *by = nullptr;  //!< Pose rhs partial (6 K entries).
     double cost = 0.0;
     VisualFactorEval ev;   //!< Reused per-observation evaluation.
 };
 
 /**
  * Reusable window-assembly buffers: one instance per estimator/session,
- * never shared between concurrently-building sessions. A warmed-up
- * scratch makes build() heap-allocation-free on the per-observation
- * path (the arena is reset and re-carved each build; only the bounded
- * IMU-factor evaluations, at most one per keyframe pair, still
- * allocate).
+ * never shared between concurrently-building sessions. The arena is
+ * reset and re-carved each build. A warmed-up scratch leaves build() a
+ * few small heap allocations per call, and more when the window's shape
+ * changes (docs/PERFORMANCE.md lists them).
  */
 struct AssemblyScratch
 {
     common::Arena arena;                   //!< Backs the shard views.
     std::vector<AssemblyShard> shards;
     std::vector<std::uint32_t> tmp_blocks; //!< Support pre-pass buffer.
+    ImuFactorEval imu;                     //!< Reused IMU evaluation.
     linalg::Matrix imu_li, imu_lj;         //!< Lambda J products.
-    linalg::Vector imu_lr;                 //!< Lambda r product.
 };
 
 /**
@@ -141,8 +147,12 @@ void formReducedSystem(const NormalEquations &eq, double lambda,
 
 /**
  * Recovers the eliminated feature increments after the reduced solve:
- * dx = U^{-1} (bx - W^T dy) with rs's damped pivots. Deterministic at
- * any thread count (each feature owns its output element).
+ * dx = U^{-1} (bx - W^T dy) with rs's damped pivots. Runs serially over
+ * each feature's support segments (w_blocks), so eq must carry the
+ * support structure that build() fills. The result equals the dense
+ * W^T dy bit for bit: the support blocks ascend, so the non-zero terms
+ * are subtracted in dense row order, and the rows skipped are exact
+ * zeros.
  */
 void recoverFeatureIncrements(linalg::Vector &dx,
                               const NormalEquations &eq,
@@ -201,7 +211,10 @@ class WindowProblem
     /** Convenience wrapper: transient scratch, BuildMode::kFull. */
     NormalEquations build() const;
 
-    /** Evaluates the cost only (used for LM step acceptance). */
+    /**
+     * Evaluates the cost only (used for LM step acceptance): residuals
+     * without Jacobians, bit-identical to build()'s eq.cost.
+     */
     double evaluateCost() const;
 
     /**
@@ -217,6 +230,8 @@ class WindowProblem
         std::vector<double> inverse_depths;
     };
     Snapshot snapshot() const;
+    /** As snapshot(), reusing snap's storage (no allocation once warm). */
+    void snapshotInto(Snapshot &snap) const;
     void restore(const Snapshot &snap);
 
     /** Total informative visual observations in the window. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/rng.hh"
 #include "linalg/cholesky.hh"
@@ -200,21 +201,23 @@ INSTANTIATE_TEST_SUITE_P(
 /**
  * A block-sparse W in the CSR-like support layout of
  * subtractBlockSparseSchur: each feature column touches a sorted-unique
- * subset of keyframe blocks; w_blocks stores the column segments.
+ * subset of keyframe blocks; w_blocks stores the leading `segment` rows
+ * of each supported block, and the other rows of W are zero.
  */
 struct SparseW
 {
     std::vector<std::uint32_t> offsets;
     std::vector<std::uint32_t> blocks;
     std::vector<double> w_blocks;
-    Matrix dense;   //!< The same W as a dense (nk x m) matrix.
+    Matrix dense;   //!< The same W, zero-padded, as a dense (nk x m) matrix.
 };
 
 SparseW
-randomSparseW(std::size_t n_blocks, std::size_t d, std::size_t m, Rng &rng)
+randomSparseW(std::size_t n_blocks, std::size_t stride, std::size_t segment,
+              std::size_t m, Rng &rng)
 {
     SparseW w;
-    w.dense = Matrix(n_blocks * d, m);
+    w.dense = Matrix(n_blocks * stride, m);
     w.offsets.push_back(0);
     for (std::size_t f = 0; f < m; ++f) {
         // 1-3 supported blocks, strictly increasing anchors.
@@ -222,10 +225,10 @@ randomSparseW(std::size_t n_blocks, std::size_t d, std::size_t m, Rng &rng)
         const std::size_t count = 1 + (f % 3);
         for (std::size_t k = 0; k < count && bi < n_blocks; ++k, bi += 2) {
             w.blocks.push_back(static_cast<std::uint32_t>(bi));
-            for (std::size_t r = 0; r < d; ++r) {
+            for (std::size_t r = 0; r < segment; ++r) {
                 const double x = rng.uniform(-0.5, 0.5);
                 w.w_blocks.push_back(x);
-                w.dense(bi * d + r, f) = x;
+                w.dense(bi * stride + r, f) = x;
             }
         }
         w.offsets.push_back(static_cast<std::uint32_t>(w.blocks.size()));
@@ -233,12 +236,15 @@ randomSparseW(std::size_t n_blocks, std::size_t d, std::size_t m, Rng &rng)
     return w;
 }
 
-TEST(BlockSparseSchur, MatchesDenseElimination)
+/** Block-sparse elimination of a random W against the dense one. */
+void
+expectMatchesDenseElimination(std::size_t n_blocks, std::size_t stride,
+                              std::size_t segment, std::size_t m, Rng &rng)
 {
-    Rng rng(321);
-    const std::size_t n_blocks = 5, d = 3, m = 17;
-    const std::size_t nk = n_blocks * d;
-    const SparseW w = randomSparseW(n_blocks, d, m, rng);
+    SCOPED_TRACE("stride " + std::to_string(stride) + ", segment " +
+                 std::to_string(segment));
+    const std::size_t nk = n_blocks * stride;
+    const SparseW w = randomSparseW(n_blocks, stride, segment, m, rng);
 
     Vector bx(m), inv_u(m);
     for (std::size_t f = 0; f < m; ++f) {
@@ -261,8 +267,9 @@ TEST(BlockSparseSchur, MatchesDenseElimination)
         }
 
     common::Arena arena;
-    subtractBlockSparseSchur(reduced, rhs, bx, inv_u.data().data(), d,
-                             w.offsets, w.blocks, w.w_blocks, arena);
+    subtractBlockSparseSchur(reduced, rhs, bx, inv_u.data().data(), stride,
+                             segment, w.offsets, w.blocks, w.w_blocks,
+                             arena);
 
     double dmax = 0.0;
     for (std::size_t i = 0; i < nk; ++i)
@@ -279,6 +286,15 @@ TEST(BlockSparseSchur, MatchesDenseElimination)
                 << "asymmetry at (" << i << "," << j << ")";
 }
 
+TEST(BlockSparseSchur, MatchesDenseElimination)
+{
+    Rng rng(321);
+    // Full-height segments, and the window solver's shape: 6 pose rows
+    // stored per 15-row keyframe block.
+    expectMatchesDenseElimination(5, 3, 3, 17, rng);
+    expectMatchesDenseElimination(5, 15, 6, 17, rng);
+}
+
 TEST(BlockSparseSchur, EmptySupportIsANoOp)
 {
     Rng rng(322);
@@ -289,8 +305,8 @@ TEST(BlockSparseSchur, EmptySupportIsANoOp)
         rhs[i] = rng.uniform(-1.0, 1.0);
     const Vector rhs_before = rhs;
     common::Arena arena;
-    subtractBlockSparseSchur(reduced, rhs, Vector(), nullptr, 3, {}, {},
-                             {}, arena);
+    subtractBlockSparseSchur(reduced, rhs, Vector(), nullptr, 3, 3, {},
+                             {}, {}, arena);
     for (std::size_t i = 0; i < 6; ++i) {
         EXPECT_EQ(rhs[i], rhs_before[i]);
         for (std::size_t j = 0; j < 6; ++j)

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -150,6 +151,34 @@ TEST(SimdPrimitives, AxpyMatchesReferencePerBackend)
     }
 }
 
+TEST(SimdPrimitives, AxpyElementsIndependentOfSpanLength)
+{
+    // The window solver relies on this: an element's result must not
+    // depend on whether it falls in a 4-wide lane or in the scalar tail,
+    // so a 6-long pose-row axpy gives the bits of the first 6 elements of
+    // the 15-long keyframe-row one.
+    if (!simd::avx2Compiled() || !simd::avx2Supported())
+        GTEST_SKIP() << "AVX2+FMA unavailable on this build/host";
+    const simd::Ops &ops = simd::opsFor(simd::Backend::kAvx2);
+    Rng rng(107);
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {6, 15}, {1, 15}, {3, 8}, {5, 9}, {7, 13}};
+    for (const auto &[k, n] : shapes) {
+        const auto x = randomSpan(n, rng);
+        const auto y0 = randomSpan(n, rng);
+        const double alpha = rng.uniform(-2.0, 2.0);
+        std::vector<double> full = y0;
+        std::vector<double> head = y0;
+        ops.axpy(full.data(), alpha, x.data(), n);
+        ops.axpy(head.data(), alpha, x.data(), k);
+        for (std::size_t i = 0; i < k; ++i)
+            EXPECT_EQ(head[i], full[i]) << "k=" << k << " n=" << n
+                                        << " element " << i;
+        for (std::size_t i = k; i < n; ++i)
+            EXPECT_EQ(head[i], y0[i]) << "k=" << k << " wrote past " << i;
+    }
+}
+
 TEST(SimdPrimitives, MulMatchesReferenceAndAllowsAliasing)
 {
     Rng rng(103);
@@ -204,9 +233,9 @@ struct KernelSuiteResults
     Vector sub;         //!< subtractMultiply
     Matrix sym;         //!< subtractSymmetricProduct
     Matrix outer;       //!< addOuterProductTransposed (Matrix dst)
-    Matrix outer_view;  //!< addOuterProductTransposed (view dst) + addInto
+    Matrix outer_view;  //!< addOuterProductTransposed (view dst)
     Vector grad;        //!< subtractTransposeApplyScaled (Vector dst)
-    Vector grad_raw;    //!< raw-segment overload, via addInto(Vector,...)
+    Vector grad_raw;    //!< raw-segment overload
     Matrix chol;        //!< choleskyInto factor
     Vector fwd;         //!< forwardSubstituteInto
     Vector bwd;         //!< backwardSubstituteInto
@@ -248,21 +277,17 @@ runKernelSuite()
     r.outer = Matrix(12, 12);
     addOuterProductTransposed(r.outer, 3, 5, ja, jb, 1.7);
 
-    std::vector<double> view_store(12 * 12, 0.0);
-    MatrixView shard(view_store.data(), 12, 12);
-    addOuterProductTransposed(shard, 3, 5, ja, jb, 1.7);
     r.outer_view = Matrix(12, 12);
-    addInto(r.outer_view, shard);
+    MatrixView shard(r.outer_view.data().data(), 12, 12);
+    addOuterProductTransposed(shard, 3, 5, ja, jb, 1.7);
 
     const double residual[2] = {0.31, -0.64};
     r.grad = Vector(12);
     subtractTransposeApplyScaled(r.grad, 4, ja, residual, 2.3);
 
-    std::vector<double> seg(12, 0.0);
-    subtractTransposeApplyScaled(seg.data(), seg.size(), 4, ja, residual,
-                                 2.3);
     r.grad_raw = Vector(12);
-    addInto(r.grad_raw, seg.data(), seg.size());
+    subtractTransposeApplyScaled(r.grad_raw.data().data(), r.grad_raw.size(),
+                                 4, ja, residual, 2.3);
 
     const Matrix spd = randomSpd(40, rng);
     Vector rhs(40);
@@ -287,11 +312,11 @@ expectBitIdentical(const KernelSuiteResults &a,
     EXPECT_EQ(maxAbsDiff(a.outer, b.outer), 0.0)
         << what << ": addOuterProductTransposed";
     EXPECT_EQ(maxAbsDiff(a.outer_view, b.outer_view), 0.0)
-        << what << ": shard view + addInto";
+        << what << ": addOuterProductTransposed into a view";
     EXPECT_EQ(maxAbsDiff(a.grad, b.grad), 0.0)
         << what << ": subtractTransposeApplyScaled";
     EXPECT_EQ(maxAbsDiff(a.grad_raw, b.grad_raw), 0.0)
-        << what << ": raw-segment rhs + addInto";
+        << what << ": raw-segment subtractTransposeApplyScaled";
     EXPECT_EQ(maxAbsDiff(a.chol, b.chol), 0.0) << what << ": cholesky";
     EXPECT_EQ(maxAbsDiff(a.fwd, b.fwd), 0.0) << what << ": fwd subst";
     EXPECT_EQ(maxAbsDiff(a.bwd, b.bwd), 0.0) << what << ": bwd subst";

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hh"
 #include "slam/factors.hh"
@@ -80,6 +81,55 @@ TEST(VisualFactor, InvalidForNonPositiveDepth)
     const auto ev = evaluateVisualFactor(cam, Pose{}, Pose{},
                                          Vec3{0, 0, 1}, -0.5, Vec2{});
     EXPECT_FALSE(ev.valid);
+}
+
+TEST(VisualFactor, ResidualOnlyMatchesFullEvaluation)
+{
+    Rng rng(21);
+    struct Case
+    {
+        PerfectScene sc;
+        bool valid;
+        const char *what;
+    };
+    std::vector<Case> cases;
+    for (int trial = 0; trial < 8; ++trial) {
+        PerfectScene sc = makePerfectScene(rng);
+        sc.measurement.u += rng.uniform(-3.0, 3.0);
+        sc.measurement.v += rng.uniform(-3.0, 3.0);
+        cases.push_back({sc, true, "in front of both cameras"});
+    }
+    {
+        // The target camera turned around: the point lies behind it.
+        PerfectScene sc = makePerfectScene(rng);
+        sc.target.q = (sc.target.q *
+                       Quaternion::fromAxisAngle(Vec3{0.0, M_PI, 0.0}))
+                          .normalized();
+        cases.push_back({sc, false, "behind the target camera"});
+    }
+    for (const double inv_depth : {1e-6, 0.0, -0.2}) {
+        PerfectScene sc = makePerfectScene(rng);
+        sc.inv_depth = inv_depth;
+        cases.push_back({sc, false, "inverse depth <= 1e-6"});
+    }
+
+    VisualFactorEval full;
+    for (const Case &c : cases) {
+        const PerfectScene &sc = c.sc;
+        evaluateVisualFactorInto(full, sc.camera, sc.anchor, sc.target,
+                                 sc.bearing, sc.inv_depth, sc.measurement);
+        ASSERT_EQ(full.valid, c.valid) << c.what;
+        Vec2 res;
+        const bool valid =
+            evaluateVisualResidual(res, sc.camera, sc.anchor, sc.target,
+                                   sc.bearing, sc.inv_depth,
+                                   sc.measurement);
+        ASSERT_EQ(valid, c.valid) << c.what;
+        if (!valid)
+            continue;
+        EXPECT_EQ(res.u, full.residual.u) << c.what;
+        EXPECT_EQ(res.v, full.residual.v) << c.what;
+    }
 }
 
 TEST(VisualFactor, JacobiansMatchNumeric)
@@ -254,14 +304,39 @@ TEST(ImuFactor, JacobiansMatchNumeric)
     }
 }
 
+TEST(ImuFactor, ResidualOnlyMatchesFullEvaluation)
+{
+    Rng rng(6);
+    ImuScenePair sc = makeConsistentImuPair(rng);
+    sc.sj.pose.p += Vec3{0.05, -0.02, 0.03};
+    sc.si.bias_gyro = Vec3{0.002, -0.001, 0.0015};
+    sc.si.bias_accel = Vec3{0.01, 0.02, -0.01};
+
+    const ImuFactorEval full = evaluateImuFactor(*sc.preint, sc.si, sc.sj);
+    const ImuResidual r = evaluateImuResidual(*sc.preint, sc.si, sc.sj);
+    for (std::size_t i = 0; i < kKeyframeDof; ++i)
+        EXPECT_EQ(r[i], full.residual[i]) << "residual " << i;
+
+    // A reused eval overwrites every entry: evaluating other states
+    // into it matches a fresh evaluation bit for bit.
+    ImuFactorEval reused = full;
+    const ImuScenePair other = makeConsistentImuPair(rng);
+    evaluateImuFactorInto(reused, *other.preint, other.si, other.sj);
+    const ImuFactorEval fresh =
+        evaluateImuFactor(*other.preint, other.si, other.sj);
+    EXPECT_EQ(reused.residual.data(), fresh.residual.data());
+    EXPECT_EQ(reused.j_i.data(), fresh.j_i.data());
+    EXPECT_EQ(reused.j_j.data(), fresh.j_j.data());
+}
+
 TEST(ImuFactor, InformationIsSymmetricPositive)
 {
     Rng rng(5);
     const ImuScenePair sc = makeConsistentImuPair(rng);
-    const auto ev = evaluateImuFactor(*sc.preint, sc.si, sc.sj);
-    EXPECT_TRUE(ev.information.isSymmetric(1e-4));
+    const linalg::Matrix &information = sc.preint->information();
+    EXPECT_TRUE(information.isSymmetric(1e-4));
     for (int i = 0; i < 15; ++i)
-        EXPECT_GT(ev.information(i, i), 0.0);
+        EXPECT_GT(information(i, i), 0.0);
 }
 
 } // namespace

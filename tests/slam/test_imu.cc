@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hh"
+#include "linalg/cholesky.hh"
 #include "slam/factors.hh"
 #include "slam/imu.hh"
 
@@ -106,6 +109,55 @@ TEST(ImuPreintegration, CovarianceIsSymmetricPsd)
     EXPECT_TRUE(cov.isSymmetric(1e-15));
     for (int i = 0; i < 9; ++i)
         EXPECT_GE(cov(i, i), 0.0);
+}
+
+/** choleskyInverse of the 15x15 residual covariance, assembled here. */
+linalg::Matrix
+referenceInformation(const ImuPreintegration &pre)
+{
+    // Residual order [theta, p, v] against covariance() order
+    // [theta, v, p]; then the bias random walk; then the regularizer.
+    const std::size_t perm[9] = {0, 1, 2, 6, 7, 8, 3, 4, 5};
+    linalg::Matrix cov15(15, 15);
+    for (std::size_t r = 0; r < 9; ++r)
+        for (std::size_t c = 0; c < 9; ++c)
+            cov15(r, c) = pre.covariance()(perm[r], perm[c]);
+    const linalg::Matrix bias = pre.biasWalkCovariance();
+    for (std::size_t r = 0; r < 6; ++r)
+        for (std::size_t c = 0; c < 6; ++c)
+            cov15(9 + r, 9 + c) = bias(r, c);
+    for (std::size_t i = 0; i < 15; ++i)
+        cov15(i, i) += 1e-12;
+    return linalg::choleskyInverse(cov15);
+}
+
+TEST(ImuPreintegration, InformationIsCachedUntilTheNextSample)
+{
+    ImuPreintegration pre({}, {}, ImuNoise{});
+    for (int i = 0; i < 40; ++i)
+        pre.integrate({0.005, Vec3{0.2, -0.1, 0.3}, Vec3{1.0, 9.0, 0.5}});
+
+    const linalg::Matrix &first = pre.information();
+    const std::vector<double> bits = first.data();
+    const linalg::Matrix &again = pre.information();
+    EXPECT_EQ(&again, &first);
+    EXPECT_EQ(again.data(), bits);
+
+    // The cached weight is the inverse of the assembled covariance, up
+    // to the symmetrization round-off.
+    const linalg::Matrix want = referenceInformation(pre);
+    double scale = 0.0;
+    for (double x : want.data())
+        scale = std::max(scale, std::abs(x));
+    EXPECT_LT(want.maxAbsDiff(first), 1e-12 * scale);
+    EXPECT_TRUE(first.isSymmetric(0.0)); // Symmetrized exactly.
+
+    // One more sample grows the covariance, so the weight must change.
+    pre.integrate({0.005, Vec3{0.2, -0.1, 0.3}, Vec3{1.0, 9.0, 0.5}});
+    const linalg::Matrix &after = pre.information();
+    EXPECT_NE(after.data(), bits);
+    const linalg::Matrix want_after = referenceInformation(pre);
+    EXPECT_LT(want_after.maxAbsDiff(after), 1e-12 * scale);
 }
 
 TEST(ImuPreintegration, RejectsNonPositiveDt)

@@ -155,6 +155,46 @@ TEST(WindowProblem, CameraContributionHasPoseOnlyPattern)
                 }
 }
 
+TEST(WindowProblem, SupportSegmentsArePoseRowsOfW)
+{
+    Rng rng(31);
+    TestWindow w = makeWindow(5, 25, 0.5, rng);
+    // Re-anchor some features later in the window so the support spans
+    // blocks other than keyframe 0.
+    for (std::size_t f = 0; f < w.features.size(); f += 3)
+        w.features[f].anchor_index = 2;
+    WindowProblem problem(w.camera, w.keyframes, w.features, w.preints,
+                          w.prior, 1.0);
+    NormalEquations eq;
+    AssemblyScratch scratch;
+    problem.build(eq, scratch, BuildMode::kSolve);
+    ASSERT_TRUE(eq.hasSupport());
+    ASSERT_EQ(eq.w_blocks.size(), eq.support_blocks.size() * kPoseDof);
+
+    const std::size_t m = eq.u_diag.size();
+    for (std::size_t f = 0; f < m; ++f) {
+        std::vector<bool> supported(problem.keyframeCount(), false);
+        for (std::size_t s = eq.support_offsets[f];
+             s < eq.support_offsets[f + 1]; ++s) {
+            const std::size_t blk = eq.support_blocks[s];
+            supported[blk] = true;
+            for (std::size_t r = 0; r < kPoseDof; ++r)
+                EXPECT_EQ(eq.w_blocks[s * kPoseDof + r],
+                          eq.w(blk * kKeyframeDof + r, f))
+                    << "feature " << f << " block " << blk << " row " << r;
+        }
+        // Non-pose rows are exactly zero everywhere; unsupported blocks
+        // are zero in full.
+        for (std::size_t blk = 0; blk < problem.keyframeCount(); ++blk)
+            for (std::size_t r = 0; r < kKeyframeDof; ++r) {
+                if (supported[blk] && r < kPoseDof)
+                    continue;
+                EXPECT_EQ(eq.w(blk * kKeyframeDof + r, f), 0.0)
+                    << "feature " << f << " block " << blk << " row " << r;
+            }
+    }
+}
+
 TEST(WindowProblem, ImuContributionIsBlockTridiagonal)
 {
     Rng rng(4);
@@ -294,6 +334,22 @@ TEST(WindowProblem, BlockedSolveRejectsIndefiniteSystem)
     linalg::Vector dy, dx;
     SolverScratch scratch;
     EXPECT_FALSE(solveBlockedSystem(eq, 1e-4, dy, dx, scratch));
+}
+
+TEST(WindowProblem, FeatureRecoveryWithoutSupportDies)
+{
+    // Recovery walks only W's support segments, so a hand-assembled
+    // system without them must fail loudly instead of reading
+    // support_offsets out of range.
+    NormalEquations eq;
+    eq.u_diag = linalg::Vector(2);
+    eq.w = linalg::Matrix(3, 2);
+    eq.bx = linalg::Vector(2);
+    ReducedSystem rs;
+    rs.u.assign(2, 1.0);
+    linalg::Vector dx;
+    EXPECT_DEATH(recoverFeatureIncrements(dx, eq, rs, linalg::Vector(3)),
+                 "support structure");
 }
 
 } // namespace
