@@ -16,6 +16,7 @@
 
 #include "common/telemetry.hh"
 #include "dataset/sequence.hh"
+#include "runtime/energy.hh"
 #include "runtime/offline.hh"
 #include "runtime/persistence.hh"
 #include "slam/estimator.hh"
@@ -97,7 +98,7 @@ main(int argc, char **argv)
     std::printf("\n%-8s %-10s %-6s %-22s %-10s %-10s\n", "t (s)",
                 "features", "Iter", "gated (nd, nm, s)", "err (m)",
                 "mJ/window");
-    double static_mj = 0.0, dynamic_mj = 0.0;
+    runtime::EnergyAccountant energy(built, power);
     std::size_t frames = 0;
     for (const auto &frame : route.frames()) {
         const auto t0 = std::chrono::steady_clock::now();
@@ -108,16 +109,12 @@ main(int argc, char **argv)
                 .count();
         if (!r.optimized)
             continue;
-        const double stat =
-            accel.windowTiming(r.workload, 6).totalMs() *
-            power.watts(built);
-        const hw::Accelerator gated(last.gated);
+        energy.chargeStatic(r.workload);
+        const double dyn = energy.chargeDynamic(r.workload, last);
         const double predicted_ms =
-            gated.windowTiming(r.workload, last.iterations).totalMs();
-        const double dyn = predicted_ms *
-                           power.gatedWatts(built, last.gated);
-        static_mj += stat;
-        dynamic_mj += dyn;
+            hw::Accelerator(last.gated)
+                .windowTiming(r.workload, last.iterations)
+                .totalMs();
         // Pair the controller's choice with the accelerator-model
         // prediction and the measured wall time of the window.
         ARCHYTAS_INSTANT("runtime", "runtime.latency",
@@ -138,8 +135,7 @@ main(int argc, char **argv)
                 "  dynamic (gated) energy:     %.1f mJ\n"
                 "  saving:                     %.1f%%\n"
                 "  hardware reconfigurations:  %zu (table lookups only)\n",
-                static_mj, dynamic_mj,
-                100.0 * (1.0 - dynamic_mj / static_mj),
-                controller.reconfigurations());
+                energy.staticMj(), energy.dynamicMj(),
+                100.0 * energy.saving(), controller.reconfigurations());
     return 0;
 }

@@ -71,19 +71,7 @@ avx2Axpy(double *y, double alpha, const double *x, std::size_t n)
         y[i] = std::fma(alpha, x[i], y[i]);
 }
 
-void
-avx2Mul(double *out, const double *a, const double *b, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        _mm256_storeu_pd(out + i,
-                         _mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                       _mm256_loadu_pd(b + i)));
-    for (; i < n; ++i)
-        out[i] = a[i] * b[i];
-}
-
-constexpr Ops kAvx2Ops = {"avx2", avx2Dot, avx2Axpy, avx2Mul};
+constexpr Ops kAvx2Ops = {"avx2", avx2Dot, avx2Axpy};
 
 } // namespace
 

@@ -36,14 +36,7 @@ scalarAxpy(double *y, double alpha, const double *x, std::size_t n)
         y[i] += alpha * x[i];
 }
 
-void
-scalarMul(double *out, const double *a, const double *b, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = a[i] * b[i];
-}
-
-constexpr Ops kScalarOps = {"scalar", scalarDot, scalarAxpy, scalarMul};
+constexpr Ops kScalarOps = {"scalar", scalarDot, scalarAxpy};
 
 // archytas-analyzer: allow(global-state) -- the once-per-process backend
 // selection the header documents: written exactly once at startup (or by

@@ -2,9 +2,9 @@
  * @file
  * SIMD backend selection for the dense hot-path kernels
  * (docs/PERFORMANCE.md). The kernels in kernels.cc / cholesky.cc express
- * their inner loops through three contiguous-span primitives (dot, axpy,
- * elementwise multiply); this header publishes the primitive table and
- * the once-at-startup backend selection that fills it.
+ * their inner loops through two contiguous-span primitives (dot and
+ * axpy); this header publishes the primitive table and the
+ * once-at-startup backend selection that fills it.
  *
  * Selection happens exactly once per process, from the `ARCHYTAS_SIMD`
  * environment variable ("auto"/unset, "avx2", "off"/"scalar") gated by a
@@ -34,8 +34,8 @@ enum class Backend
 
 /**
  * Table of contiguous-span primitives the dense kernels are built from.
- * All pointers must be non-null; spans may alias only where a backend
- * documents it (axpy/mul allow out == a).
+ * All pointers must be non-null. dot only reads, so a may equal b;
+ * axpy's y must not overlap x.
  */
 struct Ops
 {
@@ -44,9 +44,6 @@ struct Ops
     double (*dot)(const double *a, const double *b, std::size_t n);
     /** y[i] += alpha * x[i]. */
     void (*axpy)(double *y, double alpha, const double *x, std::size_t n);
-    /** out[i] = a[i] * b[i]; out may alias a. */
-    void (*mul)(double *out, const double *a, const double *b,
-                std::size_t n);
 };
 
 /**

@@ -8,24 +8,28 @@ EnergyAccountant::EnergyAccountant(const hw::HwConfig &built,
 {
 }
 
-void
+double
 EnergyAccountant::chargeStatic(const slam::WindowWorkload &workload,
                                std::size_t full_iterations)
 {
-    static_mj_ +=
+    const double mj =
         built_accel_.windowTiming(workload, full_iterations).totalMs() *
         power_.watts(built_);
+    static_mj_ += mj;
     ++windows_;
+    return mj;
 }
 
-void
+double
 EnergyAccountant::chargeDynamic(const slam::WindowWorkload &workload,
                                 const ControllerDecision &decision)
 {
     const hw::Accelerator gated(decision.gated);
-    dynamic_mj_ +=
+    const double mj =
         gated.windowTiming(workload, decision.iterations).totalMs() *
         power_.gatedWatts(built_, decision.gated);
+    dynamic_mj_ += mj;
+    return mj;
 }
 
 double

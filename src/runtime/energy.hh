@@ -27,13 +27,19 @@ class EnergyAccountant
     EnergyAccountant(const hw::HwConfig &built,
                      const synth::PowerModel &power);
 
-    /** Charges one window executed at full effort on the full design. */
-    void chargeStatic(const slam::WindowWorkload &workload,
-                      std::size_t full_iterations = 6);
+    /**
+     * Charges one window executed at full effort on the full design.
+     * @return The window's charge in mJ.
+     */
+    double chargeStatic(const slam::WindowWorkload &workload,
+                        std::size_t full_iterations = 6);
 
-    /** Charges one window executed under a controller decision. */
-    void chargeDynamic(const slam::WindowWorkload &workload,
-                       const ControllerDecision &decision);
+    /**
+     * Charges one window executed under a controller decision.
+     * @return The window's charge in mJ.
+     */
+    double chargeDynamic(const slam::WindowWorkload &workload,
+                         const ControllerDecision &decision);
 
     double staticMj() const { return static_mj_; }
     double dynamicMj() const { return dynamic_mj_; }

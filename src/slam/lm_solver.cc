@@ -17,8 +17,7 @@ solveBlockedSystem(const NormalEquations &eq, double lambda,
     // Reduced system: (V_damped - W U^{-1} W^T) dy = by - W U^{-1} bx.
     // Features with no informative observations (u == 0) get a
     // pure-damping pivot so the elimination stays well-defined and
-    // their increment is zero. formReducedSystem picks the
-    // block-sparse path when eq's support structure is sparse enough.
+    // their increment is zero.
     {
         ARCHYTAS_SPAN("solver", "solver.dschur");
         formReducedSystem(eq, lambda, scratch.rsys);

@@ -124,26 +124,17 @@ imuCost(const linalg::Matrix &information, const double *r, double *lr)
 }
 
 /**
- * Structure-only choice of the Schur elimination path: the sparse path
- * wins when features observe few enough keyframe blocks. Values never
- * enter the decision, so both solver paths (software and hardware
- * model) take the same branch for the same window.
+ * Feature f's pose-row segment of W in keyframe block blk, found by a
+ * scan of f's sorted support (at most K entries). blk must be in it.
  */
-constexpr double kSparseSchurFillThreshold = 0.75;
-
-bool
-useSparseSchur(const NormalEquations &eq)
+linalg::MatrixView
+wSegment(NormalEquations &eq, std::size_t f, std::size_t blk)
 {
-    if (!eq.hasSupport())
-        return false;
-    const std::size_t m = eq.u_diag.size();
-    const std::size_t nblocks = eq.v.rows() / kKeyframeDof;
-    if (m == 0 || nblocks == 0)
-        return false;
-    const double fill = static_cast<double>(eq.support_blocks.size()) /
-                        (static_cast<double>(m) *
-                         static_cast<double>(nblocks));
-    return fill <= kSparseSchurFillThreshold;
+    std::size_t s = eq.support_offsets[f];
+    while (eq.support_blocks[s] != blk)
+        ++s;
+    return linalg::MatrixView(eq.w_blocks.data() + s * kPoseDof, kPoseDof,
+                              1);
 }
 
 } // namespace
@@ -188,7 +179,6 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
     const std::size_t np = keyframes_.size() * kPoseDof;
 
     prepareVector(eq.u_diag, m);
-    prepareMatrix(eq.w, nk, m);
     prepareMatrix(eq.v, nk, nk);
     prepareVector(eq.bx, m);
     prepareVector(eq.by, nk);
@@ -202,9 +192,9 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
 
     // --- Support pre-pass (serial) ---
     // Records which keyframe blocks each feature's W column touches
-    // (anchor plus observed targets, sorted unique) so the Schur
-    // elimination can skip the zero blocks. Structure only; the numeric
-    // segments are copied after the parallel fill below.
+    // (anchor plus observed targets, sorted unique): W is stored only as
+    // the pose-row segments of those blocks, which the parallel fill
+    // below accumulates into.
     eq.support_offsets.clear();
     eq.support_blocks.clear();
     eq.support_offsets.reserve(m + 1);
@@ -232,7 +222,7 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
         eq.support_offsets.push_back(
             static_cast<std::uint32_t>(eq.support_blocks.size()));
     }
-    eq.w_blocks.resize(eq.support_blocks.size() * kPoseDof);
+    eq.w_blocks.assign(eq.support_blocks.size() * kPoseDof, 0.0);
 
     // --- Shard carving (serial; the arena is not thread-safe) ---
     const std::size_t grain = featureGrain(m);
@@ -251,9 +241,9 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
     }
 
     // --- Visual factors (parallel per-feature chunk) ---
-    // Feature f exclusively owns u_diag[f], bx[f], column f of W, and
-    // its w_blocks segments, so chunk tasks write those into the shared
-    // system directly (disjoint writes). The pose blocks of V, the rhs
+    // Feature f exclusively owns u_diag[f], bx[f] and its w_blocks
+    // segments, so chunk tasks write those into the shared system
+    // directly (disjoint writes). The pose blocks of V, the rhs
     // by, and the cost are shared sums: each chunk accumulates into its
     // own arena-backed pose-only shard and the shards merge sequentially
     // in chunk order below, so the result is bit-identical at any thread
@@ -283,11 +273,8 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
                     sh.cost +=
                         0.5 * wt * (res[0] * res[0] + res[1] * res[1]);
 
-                    // W rows (15-strided) and shard rows (6-strided) of
-                    // the anchor and target pose blocks.
-                    const std::size_t ra = a_idx * kKeyframeDof;
-                    const std::size_t rt =
-                        obs.keyframe_index * kKeyframeDof;
+                    // Shard rows (6-strided) of the anchor and target
+                    // pose blocks.
                     const std::size_t pa = a_idx * kPoseDof;
                     const std::size_t pt = obs.keyframe_index * kPoseDof;
 
@@ -299,11 +286,14 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
                     eq.bx[f] -= wt * (ev.j_depth(0, 0) * res[0] +
                                       ev.j_depth(1, 0) * res[1]);
 
-                    // W rows: anchor and target pose blocks (6 each).
-                    linalg::addOuterProductTransposed(eq.w, ra, f,
+                    // W: column f's anchor and target pose segments.
+                    linalg::MatrixView w_anchor = wSegment(eq, f, a_idx);
+                    linalg::MatrixView w_target =
+                        wSegment(eq, f, obs.keyframe_index);
+                    linalg::addOuterProductTransposed(w_anchor, 0, 0,
                                                       ev.j_anchor,
                                                       ev.j_depth, wt);
-                    linalg::addOuterProductTransposed(eq.w, rt, f,
+                    linalg::addOuterProductTransposed(w_target, 0, 0,
                                                       ev.j_target,
                                                       ev.j_depth, wt);
 
@@ -328,17 +318,6 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
                     linalg::subtractTransposeApplyScaled(sh.by, np, pt,
                                                          ev.j_target, res,
                                                          wt);
-                }
-                // Column f of W is final once its observations are done;
-                // gather the pose rows of its support blocks for the
-                // sparse Schur path.
-                for (std::size_t s = eq.support_offsets[f];
-                     s < eq.support_offsets[f + 1]; ++s) {
-                    const std::size_t row0 =
-                        eq.support_blocks[s] * kKeyframeDof;
-                    double *dst = eq.w_blocks.data() + s * kPoseDof;
-                    for (std::size_t r = 0; r < kPoseDof; ++r)
-                        dst[r] = eq.w(row0 + r, f);
                 }
             }
         });
@@ -444,11 +423,11 @@ void
 formReducedSystem(const NormalEquations &eq, double lambda,
                   ReducedSystem &rs)
 {
+    ARCHYTAS_ASSERT(eq.hasSupport(),
+                    "formReducedSystem needs W's support structure");
     const std::size_t m = eq.u_diag.size();
     const std::size_t nk = eq.v.rows();
     ARCHYTAS_CHECK_DIM("formReducedSystem: square V", eq.v.cols(), nk);
-    ARCHYTAS_CHECK_DIM("formReducedSystem: W rows", eq.w.rows(), nk);
-    ARCHYTAS_CHECK_DIM("formReducedSystem: W cols", eq.w.cols(), m);
     ARCHYTAS_CHECK_DIM("formReducedSystem: by size", eq.by.size(), nk);
 
     // Damped feature pivots and their reciprocals.
@@ -465,35 +444,21 @@ formReducedSystem(const NormalEquations &eq, double lambda,
         rs.reduced(i, i) += lambda * eq.v(i, i) + 1e-12;
     rs.rhs = eq.by;
 
-    if (useSparseSchur(eq)) {
-        linalg::subtractBlockSparseSchur(
-            rs.reduced, rs.rhs, eq.bx, rs.inv_u.data(), kKeyframeDof,
-            kPoseDof, eq.support_offsets, eq.support_blocks, eq.w_blocks,
-            rs.arena);
-        return;
-    }
-
-    // Dense fallback: W U^{-1} by row-wise diagonal scaling, then the
-    // symmetric rank-k subtraction.
-    if (rs.wui.rows() != nk || rs.wui.cols() != m)
-        rs.wui = linalg::Matrix(nk, m);
-    const linalg::simd::Ops &v = linalg::simd::ops();
-    for (std::size_t r = 0; r < nk; ++r)
-        v.mul(rs.wui.rowPtr(r), eq.w.rowPtr(r), rs.inv_u.data(), m);
-    linalg::subtractSymmetricProduct(rs.reduced, rs.wui, eq.w);
-    linalg::subtractMultiply(rs.rhs, rs.wui, eq.bx);
+    linalg::subtractBlockSparseSchur(
+        rs.reduced, rs.rhs, eq.bx, rs.inv_u.data(), kKeyframeDof, kPoseDof,
+        eq.support_offsets, eq.support_blocks, eq.w_blocks, rs.arena);
 }
 
 void
 recoverFeatureIncrements(linalg::Vector &dx, const NormalEquations &eq,
                          const ReducedSystem &rs, const linalg::Vector &dy)
 {
-    const std::size_t m = eq.u_diag.size();
-    const std::size_t nk = eq.w.rows();
-    ARCHYTAS_CHECK_DIM("recoverFeatureIncrements: dy size", dy.size(), nk);
-    ARCHYTAS_CHECK_DIM("recoverFeatureIncrements: pivots", rs.u.size(), m);
     ARCHYTAS_ASSERT(eq.hasSupport(),
                     "recoverFeatureIncrements needs W's support structure");
+    const std::size_t m = eq.u_diag.size();
+    ARCHYTAS_CHECK_DIM("recoverFeatureIncrements: dy size", dy.size(),
+                       eq.by.size());
+    ARCHYTAS_CHECK_DIM("recoverFeatureIncrements: pivots", rs.u.size(), m);
     if (dx.size() != m)
         dx = linalg::Vector(m);
     const double *dyd = dy.data().data();

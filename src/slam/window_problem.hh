@@ -35,8 +35,6 @@ struct NormalEquations
 {
     /** Diagonal of U (one inverse-depth entry per feature). */
     linalg::Vector u_diag;
-    /** W: keyframe rows (15 b) x feature columns (m). */
-    linalg::Matrix w;
     /** V: keyframe block (15 b square), prior included. */
     linalg::Matrix v;
     /** Feature-side right-hand side (m). */
@@ -53,24 +51,23 @@ struct NormalEquations
     linalg::Matrix v_imu;
 
     /**
-     * CSR-like block support of W, keyed on feature-track structure:
-     * feature f touches the keyframe blocks
-     * support_blocks[support_offsets[f] .. support_offsets[f+1]) (sorted,
-     * unique: the anchor plus every observed target keyframe). Visual
-     * factors fill only the kPoseDof pose rows of a block (Sec. 3.3), so
-     * w_blocks stores, contiguously per feature, the kPoseDof-long
-     * pose-row segment of W's column f in each support block; the other
-     * rows of W are exact zeros. The Schur elimination and the feature
-     * back-substitution use this to skip them (formReducedSystem,
-     * recoverFeatureIncrements). Empty for hand-assembled equations:
-     * formReducedSystem then takes the dense Schur path, and
-     * recoverFeatureIncrements refuses them.
+     * W, the keyframe rows (15 b) x feature columns (m) coupling block,
+     * stored only where it can be non-zero. Feature f touches the
+     * keyframe blocks support_blocks[support_offsets[f] ..
+     * support_offsets[f+1]) (sorted, unique: the anchor plus every
+     * observed target keyframe), and visual factors fill only the
+     * kPoseDof pose rows of a block (Sec. 3.3). So w_blocks holds,
+     * contiguously per feature, the kPoseDof-long pose-row segment of W's
+     * column f in each support block; every other entry of W is an exact
+     * zero. The Schur elimination and the feature back-substitution walk
+     * these segments (formReducedSystem, recoverFeatureIncrements), and
+     * both refuse equations without them.
      */
     std::vector<std::uint32_t> support_offsets; //!< m + 1 entries.
     std::vector<std::uint32_t> support_blocks;
     std::vector<double> w_blocks;
 
-    /** True when the support structure above is populated for this W. */
+    /** True when W's support structure above is populated. */
     bool
     hasSupport() const
     {
@@ -131,16 +128,16 @@ struct ReducedSystem
     std::vector<double> inv_u; //!< Reciprocal pivots (W U^{-1} scaling).
     linalg::Matrix reduced;    //!< V_damped - W U^{-1} W^T.
     linalg::Vector rhs;        //!< by - W U^{-1} bx.
-    linalg::Matrix wui;        //!< Dense-path W U^{-1} (sparse: unused).
-    common::Arena arena;       //!< Sparse-path per-feature scratch.
+    common::Arena arena;       //!< Per-feature scaled-segment scratch.
 };
 
 /**
  * Forms the damped reduced keyframe system of one LM step into rs:
  * reduced = V + lambda diag(V) - W U^{-1} W^T, rhs = by - W U^{-1} bx,
- * with pivots u = u_diag (1 + lambda) + eps. Picks the block-sparse
- * Schur path when eq carries support structure sparse enough to win
- * (the choice depends only on structure, never values).
+ * with pivots u = u_diag (1 + lambda) + eps. The elimination folds in
+ * one feature at a time, as the outer product of its pose-row segments
+ * (linalg::subtractBlockSparseSchur), so eq must carry the support
+ * structure that build() fills.
  */
 void formReducedSystem(const NormalEquations &eq, double lambda,
                        ReducedSystem &rs);

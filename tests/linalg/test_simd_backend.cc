@@ -91,7 +91,7 @@ maxAbsDiff(const Vector &a, const Vector &b)
 }
 
 // -------------------------------------------------------------------
-// Primitive table: dot / axpy / mul per backend vs. plain references.
+// Primitive table: dot / axpy per backend vs. plain references.
 // -------------------------------------------------------------------
 
 /** Lengths straddling the vector width so remainder lanes are hit. */
@@ -176,29 +176,6 @@ TEST(SimdPrimitives, AxpyElementsIndependentOfSpanLength)
                                         << " element " << i;
         for (std::size_t i = k; i < n; ++i)
             EXPECT_EQ(head[i], y0[i]) << "k=" << k << " wrote past " << i;
-    }
-}
-
-TEST(SimdPrimitives, MulMatchesReferenceAndAllowsAliasing)
-{
-    Rng rng(103);
-    for (const simd::Backend backend : availableBackends()) {
-        const simd::Ops &ops = simd::opsFor(backend);
-        for (const std::size_t n : kSpanLengths) {
-            const auto a = randomSpan(n, rng);
-            const auto b = randomSpan(n, rng);
-            std::vector<double> out(n, 0.0);
-            ops.mul(out.data(), a.data(), b.data(), n);
-            for (std::size_t i = 0; i < n; ++i)
-                EXPECT_EQ(out[i], a[i] * b[i])
-                    << ops.name << " n=" << n << " i=" << i;
-            // Documented aliasing: out == a.
-            auto aliased = a;
-            ops.mul(aliased.data(), aliased.data(), b.data(), n);
-            for (std::size_t i = 0; i < n; ++i)
-                EXPECT_EQ(aliased[i], out[i])
-                    << ops.name << " aliased n=" << n << " i=" << i;
-        }
     }
 }
 

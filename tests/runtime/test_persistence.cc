@@ -111,6 +111,38 @@ TEST(EnergyAccountant, StaticVsDynamic)
     EXPECT_GT(acc.saving(), 0.0);
 }
 
+TEST(EnergyAccountant, ChargesReturnWhatTheyAdd)
+{
+    // Callers print the per-window charge, so each charge returns the
+    // latency x power product it added to its running total.
+    const hw::HwConfig built{28, 19, 97};
+    const synth::PowerModel power = synth::PowerModel::calibrated();
+    EnergyAccountant acc(built, power);
+    ControllerDecision d;
+    d.iterations = 3;
+    d.gated = {10, 5, 30};
+    double static_sum = 0.0, dynamic_sum = 0.0;
+    for (const std::size_t features : {40, 100, 250}) {
+        slam::WindowWorkload w;
+        w.keyframes = 10;
+        w.features = features;
+        w.avg_obs_per_feature = 4.0;
+        w.marginalized_features = 10;
+        const double s = acc.chargeStatic(w);
+        const double g = acc.chargeDynamic(w, d);
+        EXPECT_EQ(s, hw::Accelerator(built).windowTiming(w, 6).totalMs() *
+                         power.watts(built));
+        EXPECT_EQ(g, hw::Accelerator(d.gated)
+                             .windowTiming(w, d.iterations)
+                             .totalMs() *
+                         power.gatedWatts(built, d.gated));
+        static_sum += s;
+        dynamic_sum += g;
+    }
+    EXPECT_EQ(acc.staticMj(), static_sum);
+    EXPECT_EQ(acc.dynamicMj(), dynamic_sum);
+}
+
 TEST(EnergyAccountant, NoChargeNoSaving)
 {
     EnergyAccountant acc({28, 19, 97}, synth::PowerModel::calibrated());

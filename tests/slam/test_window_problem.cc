@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "common/rng.hh"
 #include "linalg/cholesky.hh"
+#include "linalg/kernels.hh"
+#include "linalg/schur.hh"
 #include "slam/lm_solver.hh"
 #include "slam/window_problem.hh"
 
@@ -106,6 +110,63 @@ makeWindow(std::size_t n_keyframes, std::size_t n_landmarks,
     return w;
 }
 
+/** W as a dense 15 K x m matrix, scattered from eq's pose-row segments. */
+linalg::Matrix
+denseW(const NormalEquations &eq)
+{
+    const std::size_t m = eq.u_diag.size();
+    linalg::Matrix w(eq.v.rows(), m);
+    for (std::size_t f = 0; f < m; ++f)
+        for (std::size_t s = eq.support_offsets[f];
+             s < eq.support_offsets[f + 1]; ++s)
+            for (std::size_t r = 0; r < kPoseDof; ++r)
+                w(eq.support_blocks[s] * kKeyframeDof + r, f) =
+                    eq.w_blocks[s * kPoseDof + r];
+    return w;
+}
+
+/**
+ * Solves the full damped system [U, W^T; W, V] [dx; dy] = [bx; by]
+ * directly, with the damping formReducedSystem applies; returns
+ * [dx; dy].
+ */
+linalg::Vector
+denseDirectSolve(const NormalEquations &eq, double lambda)
+{
+    const std::size_t m = eq.u_diag.size();
+    const std::size_t nk = eq.v.rows();
+    const linalg::Matrix w = denseW(eq);
+    linalg::Matrix full(m + nk, m + nk);
+    for (std::size_t f = 0; f < m; ++f)
+        full(f, f) = eq.u_diag[f] * (1.0 + lambda) + 1e-12;
+    for (std::size_t r = 0; r < nk; ++r)
+        for (std::size_t f = 0; f < m; ++f) {
+            full(m + r, f) = w(r, f);
+            full(f, m + r) = w(r, f);
+        }
+    for (std::size_t r = 0; r < nk; ++r)
+        for (std::size_t c = 0; c < nk; ++c)
+            full(m + r, m + c) = eq.v(r, c);
+    for (std::size_t r = 0; r < nk; ++r)
+        full(m + r, m + r) += lambda * eq.v(r, r) + 1e-12;
+
+    linalg::Vector b(m + nk);
+    for (std::size_t f = 0; f < m; ++f)
+        b[f] = eq.bx[f];
+    for (std::size_t r = 0; r < nk; ++r)
+        b[m + r] = eq.by[r];
+    return linalg::choleskySolve(full, b);
+}
+
+double
+maxAbs(const std::vector<double> &x)
+{
+    double mx = 0.0;
+    for (const double v : x)
+        mx = std::max(mx, std::abs(v));
+    return mx;
+}
+
 TEST(WindowProblem, ZeroCostAtPerfectStates)
 {
     Rng rng(1);
@@ -125,9 +186,10 @@ TEST(WindowProblem, NormalEquationsDimensions)
                           w.prior, 1.0);
     const NormalEquations eq = problem.build();
     EXPECT_EQ(eq.u_diag.size(), 12u);
-    EXPECT_EQ(eq.w.rows(), 5u * kKeyframeDof);
-    EXPECT_EQ(eq.w.cols(), 12u);
+    EXPECT_EQ(eq.support_offsets.size(), 13u);
+    EXPECT_TRUE(eq.hasSupport());
     EXPECT_EQ(eq.v.rows(), 5u * kKeyframeDof);
+    EXPECT_EQ(eq.by.size(), 5u * kKeyframeDof);
     // IMU information weights reach ~1e8, so symmetry holds to a
     // magnitude-relative tolerance.
     double vmax = 0.0;
@@ -155,7 +217,7 @@ TEST(WindowProblem, CameraContributionHasPoseOnlyPattern)
                 }
 }
 
-TEST(WindowProblem, SupportSegmentsArePoseRowsOfW)
+TEST(WindowProblem, SupportSegmentsSumEachObservationInOrder)
 {
     Rng rng(31);
     TestWindow w = makeWindow(5, 25, 0.5, rng);
@@ -163,36 +225,118 @@ TEST(WindowProblem, SupportSegmentsArePoseRowsOfW)
     // blocks other than keyframe 0.
     for (std::size_t f = 0; f < w.features.size(); f += 3)
         w.features[f].anchor_index = 2;
+    const double sigma = 2.0;
+    WindowProblem problem(w.camera, w.keyframes, w.features, w.preints,
+                          w.prior, sigma);
+    NormalEquations eq;
+    AssemblyScratch scratch;
+    problem.build(eq, scratch, BuildMode::kSolve);
+    ASSERT_TRUE(eq.hasSupport());
+
+    // Recompute every segment from the factor Jacobians: feature f's
+    // support is its anchor plus its observed keyframes, and each
+    // informative observation adds wt J_pose^T j_depth to the anchor's
+    // and the target's segment, in observation order.
+    const double wt = 1.0 / (sigma * sigma);
+    VisualFactorEval ev;
+    for (std::size_t f = 0; f < w.features.size(); ++f) {
+        const Feature &feat = w.features[f];
+        std::vector<std::uint32_t> support{
+            static_cast<std::uint32_t>(feat.anchor_index)};
+        for (const auto &obs : feat.observations)
+            support.push_back(
+                static_cast<std::uint32_t>(obs.keyframe_index));
+        std::sort(support.begin(), support.end());
+        support.erase(std::unique(support.begin(), support.end()),
+                      support.end());
+        const std::size_t s0 = eq.support_offsets[f];
+        ASSERT_EQ(std::vector<std::uint32_t>(
+                      eq.support_blocks.begin() + s0,
+                      eq.support_blocks.begin() + eq.support_offsets[f + 1]),
+                  support)
+            << "feature " << f;
+
+        std::vector<double> expect(support.size() * kPoseDof, 0.0);
+        const auto segment = [&](std::size_t blk) {
+            const auto it =
+                std::find(support.begin(), support.end(), blk);
+            return linalg::MatrixView(
+                expect.data() + (it - support.begin()) * kPoseDof,
+                kPoseDof, 1);
+        };
+        for (const auto &obs : feat.observations) {
+            if (obs.keyframe_index == feat.anchor_index)
+                continue;
+            evaluateVisualFactorInto(
+                ev, w.camera, w.keyframes[feat.anchor_index].pose,
+                w.keyframes[obs.keyframe_index].pose, feat.anchor_bearing,
+                feat.inverse_depth, obs.pixel);
+            if (!ev.valid)
+                continue;
+            linalg::MatrixView anchor = segment(feat.anchor_index);
+            linalg::MatrixView target = segment(obs.keyframe_index);
+            linalg::addOuterProductTransposed(anchor, 0, 0, ev.j_anchor,
+                                              ev.j_depth, wt);
+            linalg::addOuterProductTransposed(target, 0, 0, ev.j_target,
+                                              ev.j_depth, wt);
+        }
+        for (std::size_t t = 0; t < expect.size(); ++t)
+            EXPECT_EQ(eq.w_blocks[s0 * kPoseDof + t], expect[t])
+                << "feature " << f << " block "
+                << support[t / kPoseDof] << " row " << t % kPoseDof;
+    }
+}
+
+TEST(WindowProblem, FullySupportedWindowMatchesDenseElimination)
+{
+    // Every feature observes every keyframe: support fill 1.0, the
+    // densest window the segment walk has to eliminate.
+    Rng rng(9);
+    TestWindow w = makeWindow(3, 20, 0.4, rng);
     WindowProblem problem(w.camera, w.keyframes, w.features, w.preints,
                           w.prior, 1.0);
     NormalEquations eq;
     AssemblyScratch scratch;
     problem.build(eq, scratch, BuildMode::kSolve);
-    ASSERT_TRUE(eq.hasSupport());
-    ASSERT_EQ(eq.w_blocks.size(), eq.support_blocks.size() * kPoseDof);
-
     const std::size_t m = eq.u_diag.size();
-    for (std::size_t f = 0; f < m; ++f) {
-        std::vector<bool> supported(problem.keyframeCount(), false);
-        for (std::size_t s = eq.support_offsets[f];
-             s < eq.support_offsets[f + 1]; ++s) {
-            const std::size_t blk = eq.support_blocks[s];
-            supported[blk] = true;
-            for (std::size_t r = 0; r < kPoseDof; ++r)
-                EXPECT_EQ(eq.w_blocks[s * kPoseDof + r],
-                          eq.w(blk * kKeyframeDof + r, f))
-                    << "feature " << f << " block " << blk << " row " << r;
-        }
-        // Non-pose rows are exactly zero everywhere; unsupported blocks
-        // are zero in full.
-        for (std::size_t blk = 0; blk < problem.keyframeCount(); ++blk)
-            for (std::size_t r = 0; r < kKeyframeDof; ++r) {
-                if (supported[blk] && r < kPoseDof)
-                    continue;
-                EXPECT_EQ(eq.w(blk * kKeyframeDof + r, f), 0.0)
-                    << "feature " << f << " block " << blk << " row " << r;
-            }
-    }
+    const std::size_t nk = eq.v.rows();
+    ASSERT_TRUE(eq.hasSupport());
+    ASSERT_EQ(eq.support_blocks.size(), m * problem.keyframeCount());
+
+    // Reference: the dense D-type Schur on the scattered W, with the
+    // damping formReducedSystem applies.
+    const double lambda = 1e-4;
+    ReducedSystem rs;
+    formReducedSystem(eq, lambda, rs);
+    linalg::Matrix u(m, m);
+    for (std::size_t f = 0; f < m; ++f)
+        u(f, f) = eq.u_diag[f] * (1.0 + lambda) + 1e-12;
+    linalg::Matrix v = eq.v;
+    for (std::size_t i = 0; i < nk; ++i)
+        v(i, i) += lambda * eq.v(i, i) + 1e-12;
+    const linalg::DSchurResult ref =
+        linalg::dSchur(u, denseW(eq), v, eq.bx, eq.by);
+
+    const double rscale = maxAbs(ref.reduced.data());
+    for (std::size_t r = 0; r < nk; ++r)
+        for (std::size_t c = 0; c < nk; ++c)
+            EXPECT_NEAR(rs.reduced(r, c), ref.reduced(r, c), 1e-12 * rscale)
+                << "reduced(" << r << ", " << c << ")";
+    const double bscale = maxAbs(ref.reducedRhs.data());
+    for (std::size_t r = 0; r < nk; ++r)
+        EXPECT_NEAR(rs.rhs[r], ref.reducedRhs[r], 1e-12 * bscale)
+            << "rhs[" << r << "]";
+
+    linalg::Vector dy, dx;
+    SolverScratch solver;
+    ASSERT_TRUE(solveBlockedSystem(eq, lambda, dy, dx, solver));
+    const linalg::Vector direct = denseDirectSolve(eq, lambda);
+    const double xscale = maxAbs(direct.data());
+    for (std::size_t f = 0; f < m; ++f)
+        EXPECT_NEAR(dx[f], direct[f], 1e-10 * xscale) << "dx[" << f << "]";
+    for (std::size_t r = 0; r < nk; ++r)
+        EXPECT_NEAR(dy[r], direct[m + r], 1e-10 * xscale)
+            << "dy[" << r << "]";
 }
 
 TEST(WindowProblem, ImuContributionIsBlockTridiagonal)
@@ -288,49 +432,32 @@ TEST(WindowProblem, BlockedSolveMatchesDenseSolve)
     SolverScratch scratch;
     ASSERT_TRUE(solveBlockedSystem(eq, 1e-4, dy, dx, scratch));
 
-    // Build the full dense system [U, W^T; W, V] with the same damping
-    // and solve directly.
+    // The full dense system [U, W^T; W, V] with the same damping, solved
+    // directly.
     const std::size_t m = eq.u_diag.size();
-    const std::size_t nk = eq.v.rows();
-    linalg::Matrix full(m + nk, m + nk);
-    for (std::size_t f = 0; f < m; ++f)
-        full(f, f) = eq.u_diag[f] * (1.0 + 1e-4) + 1e-12;
-    for (std::size_t r = 0; r < nk; ++r)
-        for (std::size_t f = 0; f < m; ++f) {
-            full(m + r, f) = eq.w(r, f);
-            full(f, m + r) = eq.w(r, f);
-        }
-    for (std::size_t r = 0; r < nk; ++r)
-        for (std::size_t c = 0; c < nk; ++c)
-            full(m + r, m + c) = eq.v(r, c);
-    for (std::size_t r = 0; r < nk; ++r)
-        full(m + r, m + r) += 1e-4 * eq.v(r, r) + 1e-12;
-
-    linalg::Vector b(m + nk);
-    for (std::size_t f = 0; f < m; ++f)
-        b[f] = eq.bx[f];
-    for (std::size_t r = 0; r < nk; ++r)
-        b[m + r] = eq.by[r];
-
-    const linalg::Vector direct = linalg::choleskySolve(full, b);
+    const linalg::Vector direct = denseDirectSolve(eq, 1e-4);
     for (std::size_t f = 0; f < m; ++f)
         EXPECT_NEAR(dx[f], direct[f], 1e-6);
-    for (std::size_t r = 0; r < nk; ++r)
+    for (std::size_t r = 0; r < eq.v.rows(); ++r)
         EXPECT_NEAR(dy[r], direct[m + r], 1e-6);
 }
 
 TEST(WindowProblem, BlockedSolveRejectsIndefiniteSystem)
 {
     // V is negative definite, so no damping makes the reduced system
-    // positive definite: the solve must refuse instead of stepping.
+    // positive definite: the solve must refuse instead of stepping. One
+    // keyframe block that both features touch, with a zero W.
     NormalEquations eq;
     eq.u_diag = linalg::Vector(2);
-    eq.w = linalg::Matrix(3, 2);
-    eq.v = linalg::Matrix(3, 3);
-    for (std::size_t i = 0; i < 3; ++i)
+    eq.v = linalg::Matrix(kKeyframeDof, kKeyframeDof);
+    for (std::size_t i = 0; i < kKeyframeDof; ++i)
         eq.v(i, i) = -5.0;
     eq.bx = linalg::Vector(2);
-    eq.by = linalg::Vector(3);
+    eq.by = linalg::Vector(kKeyframeDof);
+    eq.support_offsets = {0, 1, 2};
+    eq.support_blocks = {0, 0};
+    eq.w_blocks.assign(2 * kPoseDof, 0.0);
+    ASSERT_TRUE(eq.hasSupport());
     linalg::Vector dy, dx;
     SolverScratch scratch;
     EXPECT_FALSE(solveBlockedSystem(eq, 1e-4, dy, dx, scratch));
@@ -338,14 +465,16 @@ TEST(WindowProblem, BlockedSolveRejectsIndefiniteSystem)
 
 TEST(WindowProblem, FeatureRecoveryWithoutSupportDies)
 {
-    // Recovery walks only W's support segments, so a hand-assembled
-    // system without them must fail loudly instead of reading
-    // support_offsets out of range.
+    // The elimination and the recovery walk only W's support segments,
+    // so a hand-assembled system without them must fail loudly at both
+    // entry points instead of reading support_offsets out of range.
     NormalEquations eq;
     eq.u_diag = linalg::Vector(2);
-    eq.w = linalg::Matrix(3, 2);
+    eq.v = linalg::Matrix(3, 3);
     eq.bx = linalg::Vector(2);
+    eq.by = linalg::Vector(3);
     ReducedSystem rs;
+    EXPECT_DEATH(formReducedSystem(eq, 1e-4, rs), "support structure");
     rs.u.assign(2, 1.0);
     linalg::Vector dx;
     EXPECT_DEATH(recoverFeatureIncrements(dx, eq, rs, linalg::Vector(3)),

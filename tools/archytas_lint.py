@@ -27,13 +27,15 @@ Exit status: 0 when clean, 1 when violations were found, 2 on usage error.
 
 Self-test mode (--self-test) runs the linter over tests/lint/fixtures and
 verifies that every fixture triggers exactly the rules named in its
-`// lint-expect: rule-a rule-b` header line, proving the linter still
-fails on known-bad input. Used by the `lint.fixtures` CTest target.
+`// lint-expect: rule-a rule-b` header line, and runs hw-test-pairing on a
+temporary root with one unpaired hw unit, proving the linter still fails
+on known-bad input. Used by the `lint.fixtures` CTest target.
 """
 
 import argparse
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 SOURCE_DIRS = ("src", "tests", "bench", "examples")
@@ -202,6 +204,30 @@ def lint_tree(root):
     return violations, waiver_count[0]
 
 
+def self_test_hw_test_pairing():
+    """The pairing rule has no per-file fixture: prove it fires by linting
+    a temporary root with one unpaired and one paired hw unit. Returns
+    the number of problems found (0 or 1)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        view = Path(tmp)
+        (view / "src" / "hw").mkdir(parents=True)
+        (view / "tests" / "hw").mkdir(parents=True)
+        for name in ("paired_unit.cc", "unpaired_unit.cc"):
+            (view / "src" / "hw" / name).write_text("", encoding="utf-8")
+        (view / "tests" / "hw" / "test_paired_unit.cc").write_text(
+            "", encoding="utf-8")
+        pairing = []
+        check_hw_test_pairing(view, pairing)
+    want = Path("src") / "hw" / "unpaired_unit.cc"
+    if [(v.rule, v.path) for v in pairing] == [("hw-test-pairing", want)]:
+        return 0
+    print("self-test: hw-test-pairing should report exactly "
+          f"{want}, reported:")
+    for v in pairing:
+        print(f"  {v}")
+    return 1
+
+
 def self_test(root):
     """Every fixture must trigger exactly its `// lint-expect:` rules."""
     fixtures = sorted((root / FIXTURE_DIR).glob("*"))
@@ -229,8 +255,8 @@ def self_test(root):
             for v in violations:
                 print(f"  {v}")
             failures += 1
-    # The pairing rule has no per-file fixture: prove it fires by linting a
-    # synthetic view where one hw unit has no test.
+    failures += self_test_hw_test_pairing()
+    # The real tree must pair every hw unit too.
     pairing = []
     check_hw_test_pairing(root, pairing)
     if pairing:
