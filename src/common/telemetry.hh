@@ -52,7 +52,8 @@
  * instant recorded on the thread is tagged with it (exported on a
  * per-session track), ARCHYTAS_FLOW_BEGIN/STEP/END emit Chrome
  * trace-event flow arcs (`ph:"s"/"t"/"f"`) linking the frame's journey
- * across threads and the async host-link boundary, and -- when the
+ * across threads, from its numeric step through its host-link
+ * transaction to the serial scheduling phase, and -- when the
  * context carries a FlightRecorder -- span begin/end markers, counter
  * deltas, and instants are mirrored into the session's postmortem ring
  * (flight_recorder.hh).

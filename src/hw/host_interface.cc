@@ -19,67 +19,6 @@ transactionStatusName(TransactionStatus status)
     return "unknown";
 }
 
-std::size_t
-AttemptSchedule::failures() const
-{
-    std::size_t n = 0;
-    for (const AttemptOutcome &a : attempts)
-        if (!a.success)
-            ++n;
-    return n;
-}
-
-AttemptSchedule
-planAttempts(const HostLink &link, double nominal_seconds,
-             const FaultEvent *stall, const FaultEvent *timeout)
-{
-    // A stalled link slows every attempt of this window; a timeout
-    // makes the first `count` attempts miss the deadline outright. Both
-    // feed the same deadline / bounded-retry / exponential-backoff
-    // machinery, so a stall severe enough to blow the deadline on every
-    // attempt also exhausts the budget and forces the software
-    // fallback.
-    const double per_attempt =
-        stall != nullptr ? nominal_seconds * stall->magnitude
-                         : nominal_seconds;
-    const std::size_t forced_failures =
-        timeout != nullptr ? timeout->count : 0;
-
-    AttemptSchedule schedule;
-    double elapsed = 0.0;
-    double backoff = link.backoff_initial_s;
-    for (std::size_t attempt = 0; attempt <= link.max_retries;
-         ++attempt) {
-        AttemptOutcome outcome;
-        outcome.start_s = elapsed;
-        const bool fails = attempt < forced_failures ||
-                           per_attempt > link.deadline_s;
-        if (!fails) {
-            outcome.duration_s = per_attempt;
-            outcome.success = true;
-            elapsed += per_attempt;
-            schedule.attempts.push_back(outcome);
-            schedule.total_seconds = elapsed;
-            schedule.status = attempt == 0
-                                  ? TransactionStatus::Ok
-                                  : TransactionStatus::RecoveredAfterRetry;
-            return schedule;
-        }
-        // Abandoned at the deadline, then back off before retrying.
-        outcome.duration_s = link.deadline_s;
-        elapsed += link.deadline_s;
-        if (attempt < link.max_retries) {
-            outcome.backoff_s = backoff;
-            elapsed += backoff;
-            backoff *= link.backoff_factor;
-        }
-        schedule.attempts.push_back(outcome);
-    }
-    schedule.total_seconds = elapsed;
-    schedule.status = TransactionStatus::DeadlineExceeded;
-    return schedule;
-}
-
 HostInterface::HostInterface(const HostLink &link) : link_(link)
 {
     ARCHYTAS_ASSERT(link.bandwidth_bytes_per_s > 0.0 &&
@@ -127,20 +66,48 @@ HostInterface::windowTransaction(const slam::WindowWorkload &workload,
     ARCHYTAS_COUNT_ADD("host.words",
                        t.input_words + t.config_words + t.output_words);
 
+    // A stalled link slows every attempt of this window; a timeout
+    // makes the first `count` attempts miss the deadline outright. Both
+    // feed the one deadline / bounded-retry / exponential-backoff loop,
+    // as does a healthy transfer slower than the deadline, so a stall
+    // severe enough to blow the deadline on every attempt also exhausts
+    // the budget and forces the software fallback.
     const FaultEvent *stall =
         faults.find(window_index, FaultKind::DmaStall);
     const FaultEvent *timeout =
         faults.find(window_index, FaultKind::DmaTimeout);
-    if (stall == nullptr && timeout == nullptr)
-        return t;
+    const double per_attempt =
+        stall != nullptr ? nominal * stall->magnitude : nominal;
+    const std::size_t forced_failures =
+        timeout != nullptr ? timeout->count : 0;
 
-    const AttemptSchedule schedule =
-        planAttempts(link_, nominal, stall, timeout);
-    t.attempts = schedule.attempts.size();
-    t.total_seconds = schedule.total_seconds;
-    t.status = schedule.status;
+    double elapsed = 0.0;
+    double backoff = link_.backoff_initial_s;
+    t.status = TransactionStatus::DeadlineExceeded;
+    t.attempts = link_.max_retries + 1;
+    for (std::size_t attempt = 0; attempt <= link_.max_retries;
+         ++attempt) {
+        const bool fails = attempt < forced_failures ||
+                           per_attempt > link_.deadline_s;
+        if (!fails) {
+            elapsed += per_attempt;
+            t.attempts = attempt + 1;
+            t.status = attempt == 0
+                           ? TransactionStatus::Ok
+                           : TransactionStatus::RecoveredAfterRetry;
+            break;
+        }
+        // Abandoned at the deadline, then back off before retrying.
+        elapsed += link_.deadline_s;
+        if (attempt < link_.max_retries) {
+            elapsed += backoff;
+            backoff *= link_.backoff_factor;
+        }
+    }
+    t.total_seconds = elapsed;
 
-    if (const std::size_t misses = schedule.failures(); misses > 0)
+    const std::size_t misses = t.ok() ? t.attempts - 1 : t.attempts;
+    if (misses > 0)
         ARCHYTAS_COUNT_ADD("host.deadline_misses", misses);
     if (t.status == TransactionStatus::RecoveredAfterRetry) {
         ARCHYTAS_COUNT_ADD("host.retries", t.attempts - 1);

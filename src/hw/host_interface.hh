@@ -10,17 +10,17 @@
  * the transfer cost and the run-time system's claim of "effectively no
  * overhead" is checkable rather than assumed.
  *
- * Transactions carry a deadline and a bounded exponential-backoff retry
- * budget, so an injected DMA timeout or link stall (common/fault.hh)
+ * Every attempt of a transaction is held to a deadline, with a bounded
+ * exponential-backoff retry budget, so an injected DMA timeout or link
+ * stall (common/fault.hh) -- or a link too slow for the window --
  * degrades the window's latency instead of hanging the loop; when the
- * budget is exhausted the caller falls back to the software solver (see
+ * budget is exhausted the caller falls back to the software solver.
+ * hw::HwWindowSolver::solveWindow runs one transaction per window (see
  * hw/hw_solver.hh and docs/ROBUSTNESS.md).
  */
 
 #ifndef ARCHYTAS_HW_HOST_INTERFACE_HH
 #define ARCHYTAS_HW_HOST_INTERFACE_HH
-
-#include <vector>
 
 #include "common/fault.hh"
 #include "hw/config.hh"
@@ -83,46 +83,6 @@ struct HostTransaction
     }
 };
 
-/** One DMA attempt inside a transaction's deterministic schedule. */
-struct AttemptOutcome
-{
-    double start_s = 0.0;    //!< Offset from transaction start.
-    double duration_s = 0.0; //!< Attempt time (deadline_s if abandoned).
-    double backoff_s = 0.0;  //!< Wait after abandoning; 0 otherwise.
-    bool success = false;
-};
-
-/**
- * The full attempt timeline of one transaction under the deadline +
- * bounded-retry + exponential-backoff policy. Computed up front from
- * the link parameters and the fault plan, so the synchronous path
- * (HostInterface::windowTransaction) and the event-driven async path
- * (service/async_link.hh) replay the identical schedule -- same
- * attempt count, same status, same total time.
- */
-struct AttemptSchedule
-{
-    std::vector<AttemptOutcome> attempts;
-    double total_seconds = 0.0;
-    TransactionStatus status = TransactionStatus::Ok;
-
-    /** Attempts that missed the deadline. */
-    std::size_t failures() const;
-};
-
-/**
- * Plans the attempt timeline for a transaction whose healthy single
- * attempt takes nominal_seconds. Pure function of its arguments:
- * deterministic in the fault plan, independent of wall clock.
- *
- * @param stall   Optional DmaStall event scaling every attempt.
- * @param timeout Optional DmaTimeout event forcing the first `count`
- *                attempts past the deadline.
- */
-AttemptSchedule planAttempts(const HostLink &link, double nominal_seconds,
-                             const FaultEvent *stall,
-                             const FaultEvent *timeout);
-
 /** Models the per-window host-FPGA exchange. */
 class HostInterface
 {
@@ -142,13 +102,16 @@ class HostInterface
                       bool config_changed) const;
 
     /**
-     * Fault-aware variant: applies any DmaTimeout / DmaStall event the
-     * plan schedules for this window, driving the deadline + retry +
-     * exponential-backoff machinery. Deterministic in the plan.
+     * The transaction as the link runs it: applies any DmaTimeout /
+     * DmaStall event the plan schedules for this window, and abandons
+     * and retries, with exponential backoff, every attempt that misses
+     * the deadline -- a healthy transfer slower than deadline_s
+     * included. Deterministic in the plan.
      *
      * @param window_index  Sliding-window index used to query the plan.
      * @param faults        Fault schedule (an empty plan injects
-     *                      nothing and behaves like the 2-arg overload).
+     *                      nothing; a transfer that meets the deadline
+     *                      then matches the 2-arg overload).
      */
     [[nodiscard]] HostTransaction
     windowTransaction(const slam::WindowWorkload &workload,

@@ -55,28 +55,19 @@ HwWindowSolver::solveWindow(slam::WindowProblem &problem,
     workload.features = problem.featureCount();
     workload.observations = problem.observationCount();
 
-    const HostTransaction txn = host_.windowTransaction(
-        workload, !config_sent_, window, plan_);
+    txn_ = host_.windowTransaction(workload, !config_sent_, window,
+                                   plan_);
     config_sent_ = true;
-    return completeWindow(problem, options, health, txn, window);
-}
 
-slam::LmReport
-HwWindowSolver::completeWindow(slam::WindowProblem &problem,
-                               const slam::LmOptions &options,
-                               slam::HealthReport &health,
-                               const HostTransaction &txn,
-                               std::size_t window)
-{
     ARCHYTAS_SPAN("hw", "hw.window");
     ++stats_.windows;
     ARCHYTAS_COUNT_ADD("hw.windows", 1);
-    stats_.link_seconds += txn.total_seconds;
+    stats_.link_seconds += txn_.total_seconds;
 
-    if (txn.status == TransactionStatus::RecoveredAfterRetry) {
+    if (txn_.status == TransactionStatus::RecoveredAfterRetry) {
         ++stats_.retried_windows;
         health.dma_degraded = true;
-    } else if (txn.status == TransactionStatus::DeadlineExceeded) {
+    } else if (txn_.status == TransactionStatus::DeadlineExceeded) {
         // Retry budget exhausted: the accelerator is unreachable this
         // window. Degrade gracefully to the software solver and record
         // the event.

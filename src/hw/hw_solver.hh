@@ -11,7 +11,11 @@
  * exhausted the window is flagged as a software fallback (graceful
  * degradation), and injected result-word bit-flips corrupt the
  * accelerator's step so the estimator's step-rejection and
- * divergence-recovery machinery is exercised end to end. Plugs into
+ * divergence-recovery machinery is exercised end to end. solveWindow is
+ * the one host-link path: the traced benchmark stack, the tests and
+ * every service session (service/session.hh) call it, and a session
+ * reads the window's transaction back through lastTransaction() to
+ * place it on the service's simulated timeline. Plugs into
  * slam::SlidingWindowEstimator::setWindowSolver.
  */
 
@@ -56,28 +60,15 @@ class HwWindowSolver
                             FaultPlan plan = {});
 
     /**
-     * slam::SlidingWindowEstimator::WindowSolver entry point. Windows
-     * are numbered in call order, matching FaultEvent::window.
+     * slam::SlidingWindowEstimator::WindowSolver entry point: runs the
+     * window's host transaction, then the solve -- on the accelerator,
+     * or in software when the transaction exhausted its retry budget.
+     * Windows are numbered in call order, matching FaultEvent::window.
      */
     [[nodiscard]] slam::LmReport
     solveWindow(slam::WindowProblem &problem,
                 const slam::LmOptions &options,
                 slam::HealthReport &health);
-
-    /**
-     * Async-path entry (service/async_link.hh): the caller already
-     * performed the window's host transaction -- e.g. as an async
-     * transaction on the service's simulated timeline -- and hands in
-     * its outcome plus the window index used to query the fault plan.
-     * Everything downstream of the transaction is identical to
-     * solveWindow: fallback on DeadlineExceeded, bit-flip injection,
-     * stats, telemetry.
-     */
-    [[nodiscard]] slam::LmReport
-    completeWindow(slam::WindowProblem &problem,
-                   const slam::LmOptions &options,
-                   slam::HealthReport &health,
-                   const HostTransaction &txn, std::size_t window);
 
     /**
      * Installs this solver on an estimator. The solver must outlive the
@@ -88,6 +79,9 @@ class HwWindowSolver
     const HwSolveStats &stats() const { return stats_; }
     const Accelerator &accelerator() const { return accel_; }
     const HostInterface &host() const { return host_; }
+    /** The host transaction of the last window solved (default
+     *  constructed before the first). */
+    const HostTransaction &lastTransaction() const { return txn_; }
 
   private:
     /** Flips `count` random bits across the result words dy/dx. */
@@ -98,6 +92,7 @@ class HwWindowSolver
     HostInterface host_;
     FaultPlan plan_;
     HwSolveStats stats_;
+    HostTransaction txn_;
     std::size_t window_index_ = 0;
     bool config_sent_ = false;
     /** Per-solver LM buffers: reused across windows (both the hardware

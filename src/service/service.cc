@@ -224,16 +224,12 @@ LocalizationService::run()
                 std::max(available, s.prev_complete_s);
             double complete = request;
 
-            if (step.has_transaction) {
-                // Optimized window: async host-link transaction, then
-                // the solve -- on a shared accelerator slot, or on the
-                // host CPU after a DeadlineExceeded fallback.
-                const AsyncTransaction txn(step.transaction, request);
-                const double link_s =
-                    txn.completionTime() - txn.issueTime();
-                const bool hw_solved =
-                    txn.status() !=
-                    hw::TransactionStatus::DeadlineExceeded;
+            if (step.frame.optimized) {
+                // Optimized window: the host-link transaction, then the
+                // solve -- on a shared accelerator slot, or on the host
+                // CPU after a DeadlineExceeded fallback.
+                const double link_s = step.transaction.total_seconds;
+                const bool hw_solved = step.transaction.ok();
                 const hw::Accelerator &accel =
                     session.solver().accelerator();
                 const double compute_s =

@@ -12,7 +12,7 @@
  *    a serial run at any ARCHYTAS_THREADS;
  *  - a serial *scheduling* phase: the stepped frames are placed on the
  *    simulated timeline in (request time, session id) order --
- *    admission waits, async host-link transactions, accelerator-slot
+ *    admission waits, host-link transactions, accelerator-slot
  *    queueing -- producing the latency distribution. Scheduling
  *    consumes only numbers already fixed by the numeric phase, so it
  *    can never feed back into the trajectories.

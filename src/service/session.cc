@@ -58,8 +58,7 @@ gatedConfigsFor(const hw::HwConfig &built)
 RobotSession::RobotSession(std::size_t id, const SessionConfig &config,
                            std::uint64_t service_seed)
     : config_(config),
-      ctx_{id, makeLabel(config, id), config.faults,
-           makeSessionRng(service_seed, id)},
+      ctx_{id, makeLabel(config, id), makeSessionRng(service_seed, id)},
       sequence_(makeSequence(config)),
       frames_(config.faults.empty()
                   ? sequence_.frames()
@@ -67,8 +66,7 @@ RobotSession::RobotSession(std::size_t id, const SessionConfig &config,
       estimator_(sequence_.camera(), config.estimator),
       solver_(config.accel, config.link, config.faults),
       controller_(config.iter_table, gatedConfigsFor(config.accel),
-                  config.accel),
-      link_(config.link)
+                  config.accel)
 {
     ARCHYTAS_ASSERT(!frames_.empty(), "session with an empty sequence");
     results_.reserve(frames_.size());
@@ -82,41 +80,18 @@ RobotSession::RobotSession(std::size_t id, const SessionConfig &config,
         [this](slam::WindowProblem &problem,
                const slam::LmOptions &options,
                slam::HealthReport &health) {
-            return solveWindowAsync(problem, options, health);
+            // Flow hop: the frame's arc passes through the window's
+            // host transaction, linking the session's numeric work to
+            // the accelerator solve it triggers.
+            ARCHYTAS_FLOW_STEP("service", "trace.frame");
+            return solver_.solveWindow(problem, options, health);
         });
-}
-
-slam::LmReport
-RobotSession::solveWindowAsync(slam::WindowProblem &problem,
-                               const slam::LmOptions &options,
-                               slam::HealthReport &health)
-{
-    slam::WindowWorkload workload;
-    workload.keyframes = problem.keyframeCount();
-    workload.features = problem.featureCount();
-    workload.observations = problem.observationCount();
-
-    const std::size_t window = window_index_++;
-    const bool config_changed = !config_sent_;
-    config_sent_ = true;
-
-    // Issue the transaction asynchronously: the outcome is computed
-    // here (pure in the fault plan, so safe on a pool worker); its
-    // placement on the service timeline happens in the serial
-    // scheduling phase.
-    pending_ = link_.begin(workload, config_changed, window, ctx_.faults);
-    has_pending_ = true;
-    pending_window_ = window;
-
-    return solver_.completeWindow(problem, options, health, pending_.txn,
-                                  window);
 }
 
 SessionStep
 RobotSession::stepFrame()
 {
     ARCHYTAS_ASSERT(!finished(), "stepFrame on a finished session");
-    has_pending_ = false;
 
     const dataset::FrameData &frame = frames_[next_frame_];
     const auto frame_index = static_cast<std::uint32_t>(next_frame_);
@@ -134,11 +109,8 @@ RobotSession::stepFrame()
     SessionStep step;
     step.frame = estimator_.processFrame(frame);
     step.frame_offset_s = frame.timestamp - frames_.front().timestamp;
-    if (has_pending_) {
-        step.transaction = pending_;
-        step.has_transaction = true;
-        step.window = pending_window_;
-    }
+    if (step.frame.optimized)
+        step.transaction = solver_.lastTransaction();
     results_.push_back(step.frame);
 
     ARCHYTAS_COUNT_ADD("session.frames", 1);

@@ -3,18 +3,19 @@
  * One robot's localization session inside the multi-robot service
  * (docs/SERVICE.md). A RobotSession owns the complete per-robot stack --
  * dataset frames, sliding-window estimator, runtime controller, hardware
- * window solver, solver scratch, fault plan, and RNG stream -- bundled
- * behind a SessionContext. Nothing in here is shared between sessions,
+ * window solver, solver scratch, fault plan, and RNG stream, with its
+ * identity in a SessionContext. Nothing in here is shared between sessions,
  * so any number of them can step concurrently on the process-wide pool
  * and still produce trajectories bit-identical to a serial run (the
  * PR-3 determinism contract extended to session granularity).
  *
- * The session's window solves go through the *async* host-link path:
- * the transaction outcome (status, attempt schedule) is computed when
- * the window is solved -- it is a pure function of the fault plan, so
- * it can run on a pool worker -- while its placement on the service's
- * simulated timeline happens later, in the service's deterministic
- * serial scheduling phase (service.hh).
+ * The session's windows go through hw::HwWindowSolver::solveWindow,
+ * the one host-link path: the window's transaction (status, attempts,
+ * total time) is computed when the window is solved -- it is a pure
+ * function of the workload and the fault plan, so it can run on a pool
+ * worker -- and stepFrame hands it to the service, which places it on
+ * the simulated timeline in its deterministic serial scheduling phase
+ * (service.hh).
  */
 
 #ifndef ARCHYTAS_SERVICE_SESSION_HH
@@ -31,24 +32,21 @@
 #include "dataset/sequence.hh"
 #include "hw/hw_solver.hh"
 #include "runtime/controller.hh"
-#include "service/async_link.hh"
 #include "slam/estimator.hh"
 
 namespace archytas::service {
 
 /**
- * Per-session identity and reproducibility bundle. Everything that
- * makes a session's run replayable lives here: the fault plan drives
- * injected faults, the RNG stream (forked deterministically from the
- * service seed and the session id) is the session's private source of
- * randomness, and the label prefixes the session's log lines and
- * per-session report entries.
+ * Per-session identity and reproducibility bundle: the RNG stream
+ * (forked deterministically from the service seed and the session id)
+ * is the session's private source of randomness, and the label
+ * prefixes the session's log lines and per-session report entries. The
+ * session's fault plan lives in its SessionConfig.
  */
 struct SessionContext
 {
     std::size_t id = 0;
     std::string label;   //!< Log/report prefix, e.g. "session-03".
-    FaultPlan faults;    //!< Per-session fault schedule.
     Rng rng{0};          //!< Private deterministic stream.
 };
 
@@ -81,12 +79,9 @@ struct SessionStep
     slam::FrameResult frame;
     /** Frame availability offset from the session's first frame (s). */
     double frame_offset_s = 0.0;
-    /** The window's host-link transaction; only meaningful when the
-     *  frame was optimized. */
-    PendingTransaction transaction;
-    bool has_transaction = false;
-    /** Window index of the transaction (fault-plan numbering). */
-    std::size_t window = 0;
+    /** The window's host-link transaction; valid when
+     *  frame.optimized. */
+    hw::HostTransaction transaction;
 };
 
 /**
@@ -130,7 +125,6 @@ class RobotSession
     {
         return controller_;
     }
-    const AsyncHostLink &link() const { return link_; }
 
     /** The session's postmortem ring (empty while telemetry is off). */
     const telemetry::FlightRecorder &flight() const { return flight_; }
@@ -146,11 +140,6 @@ class RobotSession
                     const std::string &dir = std::string()) const;
 
   private:
-    [[nodiscard]] slam::LmReport
-    solveWindowAsync(slam::WindowProblem &problem,
-                     const slam::LmOptions &options,
-                     slam::HealthReport &health);
-
     SessionConfig config_;
     SessionContext ctx_;
     dataset::Sequence sequence_;
@@ -161,14 +150,7 @@ class RobotSession
     slam::SlidingWindowEstimator estimator_;
     hw::HwWindowSolver solver_;
     runtime::RuntimeController controller_;
-    AsyncHostLink link_;
     std::size_t next_frame_ = 0;
-    std::size_t window_index_ = 0;
-    bool config_sent_ = false;
-    /** Transaction of the window currently being stepped. */
-    PendingTransaction pending_;
-    bool has_pending_ = false;
-    std::size_t pending_window_ = 0;
     std::vector<slam::FrameResult> results_;
     /** Postmortem ring mirroring this session's spans/counters/instants
      *  while its trace scope is active (common/flight_recorder.hh). */

@@ -200,5 +200,31 @@ TEST(HostInterface, SevereStallExhaustsTheBudget)
     EXPECT_NEAR(t.total_seconds, bound, 1e-12);
 }
 
+TEST(HostInterface, HealthyTransferPastTheDeadlineIsAbandoned)
+{
+    // The deadline bounds every attempt, not only faulted ones: on a
+    // link too slow for the window, the healthy transfer must be
+    // abandoned and retried exactly like a unit stall of the same
+    // transfer.
+    HostLink link;
+    link.bandwidth_bytes_per_s = 1e5;
+    const HostInterface host(link);
+    slam::WindowWorkload w;
+    w.keyframes = 10;
+    w.features = 80;
+    w.observations = 400;
+    ASSERT_GT(host.windowTransaction(w, false).total_seconds,
+              link.deadline_s);
+
+    const auto healthy = host.windowTransaction(w, false, 0, FaultPlan{});
+    const FaultPlan unit_stall(1, {{0, FaultKind::DmaStall, 1, 1.0}});
+    const auto stalled = host.windowTransaction(w, false, 0, unit_stall);
+    EXPECT_EQ(stalled.status, TransactionStatus::DeadlineExceeded);
+    EXPECT_EQ(healthy.status, stalled.status);
+    EXPECT_EQ(healthy.attempts, stalled.attempts);
+    EXPECT_EQ(healthy.total_seconds, stalled.total_seconds);
+    EXPECT_EQ(healthy.attempts, link.max_retries + 1);
+}
+
 } // namespace
 } // namespace archytas::hw

@@ -200,6 +200,11 @@ TEST(HwWindowSolver, RecoveredDmaRetryStaysOnHardware)
     EXPECT_FALSE(health.hw_fallback);
     EXPECT_EQ(solver.stats().retried_windows, 1u);
     EXPECT_EQ(solver.stats().hw_windows, 1u);
+    // The window's transaction is readable after the solve.
+    const HostTransaction &txn = solver.lastTransaction();
+    EXPECT_EQ(txn.status, TransactionStatus::RecoveredAfterRetry);
+    EXPECT_EQ(txn.attempts, 2u);
+    EXPECT_EQ(txn.total_seconds, solver.stats().link_seconds);
 }
 
 TEST(HwWindowSolver, ExhaustedRetryBudgetFallsBackToSoftware)
@@ -268,6 +273,9 @@ TEST(HwWindowSolver, WindowsAreNumberedInCallOrder)
         std::ignore =
             solver.solveWindow(problem, slam::LmOptions{}, health);
         EXPECT_EQ(health.hw_fallback, i == 1);
+        EXPECT_EQ(solver.lastTransaction().ok(), i != 1);
+        // The (nd, nm, s) triple rides only the first window.
+        EXPECT_EQ(solver.lastTransaction().config_words, i == 0 ? 3u : 0u);
     }
     EXPECT_EQ(solver.stats().windows, 3u);
     EXPECT_EQ(solver.stats().hw_windows, 2u);

@@ -2,14 +2,17 @@
  * @file
  * The service scheduling layer (service/service.hh): deterministic
  * admission control, earliest-free accelerator-slot grants with fixed
- * tie-breaks, and the end-to-end service run -- reports, traces, and
- * their run-to-run reproducibility.
+ * tie-breaks, and the end-to-end service run -- reports, causal traces
+ * whose link times are the sessions' solver transactions, and their
+ * run-to-run reproducibility.
  */
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/fault.hh"
 #include "service/accel_pool.hh"
 #include "service/service.hh"
 
@@ -37,6 +40,41 @@ tinySession(std::uint64_t seed, double arrival_s, bool euroc = false)
     cfg.estimator.window_size = 8;
     cfg.arrival_s = arrival_s;
     return cfg;
+}
+
+/**
+ * Timeline properties of every service run: each trace is internally
+ * consistent, and per session the optimized frames appear in frame
+ * order, complete in FIFO order, and each is requested no earlier than
+ * the previous one completed.
+ */
+void
+expectCausalTimeline(const ServiceReport &report)
+{
+    struct Previous
+    {
+        bool seen = false;
+        std::size_t frame = 0;
+        double complete_s = 0.0;
+    };
+    std::vector<Previous> previous(report.sessions.size());
+    for (const FrameTrace &t : report.traces) {
+        SCOPED_TRACE(::testing::Message() << "session " << t.session
+                                          << " frame " << t.frame);
+        EXPECT_GE(t.request_s, t.available_s);
+        EXPECT_GT(t.link_s, 0.0);
+        EXPECT_GT(t.compute_s, 0.0);
+        EXPECT_GE(t.complete_s, t.request_s + t.link_s + t.compute_s);
+        EXPECT_GE(t.latency_s(), 0.0);
+        ASSERT_LT(t.session, previous.size());
+        Previous &prev = previous[t.session];
+        if (prev.seen) {
+            EXPECT_GT(t.frame, prev.frame);
+            EXPECT_GE(t.complete_s, prev.complete_s);
+            EXPECT_GE(t.request_s, prev.complete_s);
+        }
+        prev = {true, t.frame, t.complete_s};
+    }
 }
 
 TEST(AdmissionController, AdmitsInArrivalOrderUpToCapacity)
@@ -132,12 +170,7 @@ TEST(LocalizationService, RunsSessionsToCompletion)
     // The third session waited: capacity is 2 and arrivals overlap.
     EXPECT_GT(report.sessions[2].admit_s, report.sessions[2].arrival_s);
 
-    // Every trace is internally consistent.
-    for (const FrameTrace &t : report.traces) {
-        EXPECT_GE(t.request_s, t.available_s);
-        EXPECT_GE(t.complete_s, t.request_s);
-        EXPECT_GE(t.latency_s(), 0.0);
-    }
+    expectCausalTimeline(report);
 
     // Percentiles are monotone in p.
     const double p50 = report.latencyPercentileMs(50);
@@ -146,6 +179,48 @@ TEST(LocalizationService, RunsSessionsToCompletion)
     EXPECT_LE(p50, p95);
     EXPECT_LE(p95, p99);
     EXPECT_GT(p50, 0.0);
+}
+
+TEST(LocalizationService, FrameLinkTimesAreTheSolversTransactions)
+{
+    // A recovered DMA timeout, a stall and an exhausted retry budget in
+    // a session arriving at 0 s and in one arriving at 5000 s: every
+    // trace's link time is the solver's transaction time, exactly,
+    // wherever on the timeline the frame lands.
+    const FaultPlan plan(5, {{2, FaultKind::DmaTimeout, 2, 0.0},
+                             {4, FaultKind::DmaStall, 1, 3.0},
+                             {6, FaultKind::DmaTimeout, 10, 0.0}});
+    ServiceOptions options;
+    options.accelerator_slots = 1;
+    options.max_active_sessions = 2;
+    LocalizationService svc(options);
+    for (SessionConfig cfg :
+         {tinySession(31, 0.0), tinySession(32, 5000.0, true)}) {
+        cfg.faults = plan;
+        svc.addSession(cfg);
+    }
+    const ServiceReport report = svc.run();
+    expectCausalTimeline(report);
+
+    for (const SessionReport &sr : report.sessions) {
+        SCOPED_TRACE(sr.label);
+        ASSERT_EQ(sr.hw.retried_windows, 1u);
+        ASSERT_EQ(sr.hw.fallback_windows, 1u);
+        std::size_t traces = 0;
+        std::size_t fallbacks = 0;
+        double link_s = 0.0;
+        for (const FrameTrace &t : report.traces) {
+            if (t.session != sr.id)
+                continue;
+            ++traces;
+            if (!t.hw_solved)
+                ++fallbacks;
+            link_s += t.link_s;
+        }
+        EXPECT_EQ(traces, sr.hw.windows);
+        EXPECT_EQ(fallbacks, sr.hw.fallback_windows);
+        EXPECT_EQ(link_s, sr.hw.link_seconds);
+    }
 }
 
 TEST(LocalizationService, ReportIsReproducibleRunToRun)
