@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -21,13 +23,153 @@ namespace archytas::telemetry {
 
 namespace {
 
+/**
+ * Exact sum of doubles: a fixed-point superaccumulator (after Demmel and
+ * Nguyen's ReproBLAS and Collange et al.'s ExBLAS). Its 32-bit digits,
+ * each held in a signed 64-bit limb, span every finite double, 2^-1074
+ * up to 2^1024, with 64 bits of carry headroom. Adding a sample is exact
+ * integer arithmetic, so any split of the samples across shards, folded
+ * in any order, holds the same integer; value() rounds it to the
+ * nearest double (ties to even) once. Infinities are tallied apart and
+ * give what a running double sum gives: +inf, -inf, or NaN for both.
+ */
+class ExactSum
+{
+  public:
+    void
+    add(double v)
+    {
+        if (std::isinf(v)) {
+            (v > 0.0 ? pos_inf_ : neg_inf_) = true;
+            return;
+        }
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        const auto biased = static_cast<unsigned>((bits >> 52) & 0x7ff);
+        std::uint64_t m = bits & ((std::uint64_t{1} << 52) - 1);
+        // v = +-m 2^(s - 1074): subnormals have s = 0 and no hidden bit.
+        unsigned s = 0;
+        if (biased != 0) {
+            m |= std::uint64_t{1} << 52;
+            s = biased - 1;
+        }
+        if (m == 0)
+            return;
+        const std::int64_t sign = (bits >> 63) != 0 ? -1 : 1;
+        const unsigned limb = s / kDigitBits;
+        const unsigned shift = s % kDigitBits;
+        const unsigned low_bits = kDigitBits - shift;
+        // m spans at most three digits from `limb` up; each limb moves by
+        // less than 2^32 per sample.
+        limbs_[limb] += sign * static_cast<std::int64_t>(
+                                   (m & ((std::uint64_t{1} << low_bits) - 1))
+                                   << shift);
+        m >>= low_bits;
+        limbs_[limb + 1] += sign * static_cast<std::int64_t>(m & kDigitMask);
+        limbs_[limb + 2] += sign * static_cast<std::int64_t>(m >> kDigitBits);
+        if (++pending_ == kNormalizeEvery)
+            normalize();
+    }
+
+    /** into += *this, exactly. */
+    void
+    fold(ExactSum &into) const
+    {
+        ExactSum part = *this;
+        part.normalize();
+        into.normalize();
+        for (std::size_t i = 0; i < kLimbs; ++i)
+            into.limbs_[i] += part.limbs_[i];
+        into.normalize();
+        into.pos_inf_ = into.pos_inf_ || pos_inf_;
+        into.neg_inf_ = into.neg_inf_ || neg_inf_;
+    }
+
+    /** The sum rounded to the nearest double, ties to even. */
+    double
+    value() const
+    {
+        if (pos_inf_ && neg_inf_)
+            return std::numeric_limits<double>::quiet_NaN();
+        if (pos_inf_ || neg_inf_)
+            return pos_inf_ ? std::numeric_limits<double>::infinity()
+                            : -std::numeric_limits<double>::infinity();
+        ExactSum t = *this;
+        t.normalize();
+        const bool negative = t.limbs_[kLimbs - 1] < 0;
+        if (negative) {
+            for (std::int64_t &l : t.limbs_)
+                l = -l;
+            t.normalize();
+        }
+        // Every limb is now a digit in [0, 2^32).
+        std::size_t h = kLimbs;
+        while (h > 0 && t.limbs_[h - 1] == 0)
+            --h;
+        if (h == 0)
+            return 0.0;
+        --h;
+        const auto digit = [&](std::size_t i) {
+            return static_cast<std::uint64_t>(t.limbs_[i]);
+        };
+        // The 64 leading bits of the sum, and whether any bit below them
+        // is set.
+        const std::uint64_t a = digit(h);
+        const std::uint64_t b = h >= 1 ? digit(h - 1) : 0;
+        const std::uint64_t c = h >= 2 ? digit(h - 2) : 0;
+        const int nb = static_cast<int>(std::bit_width(a));
+        const std::uint64_t top =
+            (a << (64 - nb)) | (b << (32 - nb)) | (c >> nb);
+        bool sticky = (c & ((std::uint64_t{1} << nb) - 1)) != 0;
+        for (std::size_t i = 0; i + 2 < h; ++i)
+            sticky = sticky || t.limbs_[i] != 0;
+        // Round the 64 bits to 53. A sum below 2^-1022 has at most 52
+        // significant bits (every sample is a multiple of 2^-1074), so
+        // it is exact here and ldexp only places it.
+        std::uint64_t mant = top >> 11;
+        const std::uint64_t rest = top & 0x7ff;
+        if (rest > 0x400 || (rest == 0x400 && (sticky || (mant & 1) != 0)))
+            ++mant;
+        // top's lowest bit weighs 2^(32 (h - 2) + nb - 1074); mant's, 2^11
+        // times that.
+        const int exponent = 32 * (static_cast<int>(h) - 2) + nb - 1074 + 11;
+        const double r = std::ldexp(static_cast<double>(mant), exponent);
+        return negative ? -r : r;
+    }
+
+  private:
+    static constexpr unsigned kDigitBits = 32;
+    static constexpr std::uint64_t kDigitMask = 0xffffffffu;
+    /** 2176 bits: 1074 below 1, 1024 above, and carry headroom. */
+    static constexpr std::size_t kLimbs = 68;
+    /** Adds between carry passes: each moves a limb by < 2^32, so an
+     *  int64 limb cannot overflow in 2^30 of them. */
+    static constexpr std::uint32_t kNormalizeEvery = 1u << 30;
+
+    /** Carries every limb but the top into [0, 2^32). */
+    void
+    normalize()
+    {
+        for (std::size_t i = 0; i + 1 < kLimbs; ++i) {
+            const std::int64_t carry = limbs_[i] >> kDigitBits;
+            limbs_[i] -= carry * (std::int64_t{1} << kDigitBits);
+            limbs_[i + 1] += carry;
+        }
+        pending_ = 0;
+    }
+
+    std::array<std::int64_t, kLimbs> limbs_{};
+    std::uint32_t pending_ = 0;
+    bool pos_inf_ = false;
+    bool neg_inf_ = false;
+};
+
 /** Per-histogram shard state; merged by exact integer/min/max folds. */
 struct HistShard
 {
     std::array<std::uint64_t, kHistogramBuckets> buckets{};
     std::uint64_t count = 0;
     std::uint64_t nan_count = 0;
-    double sum = 0.0;
+    ExactSum sum;
     double min = 0.0;
     double max = 0.0;
 
@@ -46,7 +188,7 @@ struct HistShard
             max = std::max(max, v);
         }
         ++count;
-        sum += v;
+        sum.add(v);
     }
 
     void
@@ -65,7 +207,7 @@ struct HistShard
         }
         into.count += count;
         into.nan_count += nan_count;
-        into.sum += sum;
+        sum.fold(into.sum);
     }
 };
 
@@ -430,7 +572,7 @@ snapshotMetrics()
         const HistShard &s = hists[id];
         h.count = s.count;
         h.nan_count = s.nan_count;
-        h.sum = s.sum;
+        h.sum = s.sum.value();
         h.min = s.min;
         h.max = s.max;
         h.buckets = s.buckets;

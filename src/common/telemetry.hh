@@ -15,7 +15,9 @@
  *    thread.
  *  - Histogram: samples bucketed into a fixed log-scale layout
  *    (4 buckets per decade, 1e-9 .. 1e12, plus underflow/overflow), with
- *    exact count/min/max and a running sum. Bucket counts merge by
+ *    exact count/min/max and an exact sum: each shard accumulates its
+ *    samples in a fixed-point superaccumulator, and the snapshot rounds
+ *    the merged total to a double once. Bucket counts and sums merge by
  *    integer summation. NaN samples are counted separately and never
  *    poison the moments.
  *
@@ -174,7 +176,7 @@ struct HistogramValue
     std::string name;
     std::uint64_t count = 0;      //!< Finite samples recorded.
     std::uint64_t nan_count = 0;  //!< NaN samples (counted apart).
-    double sum = 0.0;
+    double sum = 0.0;             //!< Exact total, rounded once.
     double min = 0.0;             //!< Valid when count > 0.
     double max = 0.0;
     std::array<std::uint64_t, kHistogramBuckets> buckets{};
@@ -194,9 +196,10 @@ struct MetricsSnapshot
 };
 
 /**
- * Merges every shard (live and retired) into one snapshot. Counter and
- * bucket merges are integer sums, so the result is independent of the
- * shard/merge order. Call quiescently (see file comment).
+ * Merges every shard (live and retired) into one snapshot. Counter,
+ * bucket and histogram-sum merges are integer sums, so the result is
+ * independent of the shard/merge order. Call quiescently (see file
+ * comment).
  */
 MetricsSnapshot snapshotMetrics();
 

@@ -27,21 +27,30 @@ choleskyInto(Matrix &l, const Matrix &s)
     if (l.rows() != n || l.cols() != n)
         l = Matrix(n, n);
     const simd::Ops &v = simd::ops();
+    // Both matrices are n x n (entry check above and the resize), so
+    // every row-major index below is in range.
+    const double *sp = s.data().data();
+    double *lp = l.data().data();
     for (std::size_t j = 0; j < n; ++j) {
-        double *lj = l.rowPtr(j);
-        const double diag = s(j, j) - v.dot(lj, lj, j);
+        double *lj = lp + j * n;
+        const double diag = sp[j * n + j] - v.dot(lj, lj, j);
         if (diag <= 0.0)
             return false;
         const double ljj = std::sqrt(diag);
         lj[j] = ljj;
+        const double inv_ljj = 1.0 / ljj;
+        // Column j below the diagonal: one batched call computes every
+        // row's dot with row j, parked in row j's strict upper triangle
+        // (not yet read by anything), then each entry is finished as
+        // (s(i, j) - dot) / l(j, j) in row order.
+        double *dots = lj + j + 1;
+        if (j + 1 < n)
+            v.dots(dots, lj + n, n, n - j - 1, lj, j);
+        for (std::size_t i = j + 1; i < n; ++i)
+            lp[i * n + j] = (sp[i * n + j] - dots[i - j - 1]) * inv_ljj;
         // Keep the strict upper triangle zeroed so a reused destination
         // matches a freshly allocated one bit-for-bit.
         std::fill(lj + j + 1, lj + n, 0.0);
-        const double inv_ljj = 1.0 / ljj;
-        for (std::size_t i = j + 1; i < n; ++i) {
-            double *li = l.rowPtr(i);
-            li[j] = (s(i, j) - v.dot(li, lj, j)) * inv_ljj;
-        }
     }
     return true;
 }
@@ -92,13 +101,18 @@ backwardSubstituteInto(Vector &x, const Matrix &l, const Vector &y)
     const std::size_t n = y.size();
     if (x.size() != n)
         x = Vector(n);
+    // L is n x n (entry checks above): read it through its row-major
+    // storage, column i walked down its rows in the same k order.
+    const double *lp = l.data().data();
+    const double *yp = y.data().data();
+    double *xp = x.data().data();
     for (std::size_t ii = 0; ii < n; ++ii) {
         const std::size_t i = n - 1 - ii;
-        double acc = y[i];
+        double acc = yp[i];
         for (std::size_t k = i + 1; k < n; ++k)
-            acc -= l(k, i) * x[k];
-        ARCHYTAS_ASSERT(l(i, i) != 0.0, "singular triangular matrix");
-        x[i] = acc / l(i, i);
+            acc -= lp[k * n + i] * xp[k];
+        ARCHYTAS_ASSERT(lp[i * n + i] != 0.0, "singular triangular matrix");
+        xp[i] = acc / lp[i * n + i];
     }
 }
 

@@ -26,9 +26,10 @@ std::optional<Matrix> cholesky(const Matrix &s);
 /**
  * Destination-passing factorization: L (resized to S's shape, upper
  * triangle zeroed) with S = L L^T. Returns false when S is not positive
- * definite. The inner dot products run on the simd::ops() backend; the
- * allocating cholesky() above is a thin wrapper, and a reused
- * destination factors bit-identically to a fresh one.
+ * definite. The inner dot products run on the simd::ops() backend: each
+ * column's sub-diagonal dots are one batched dots call, bit for bit one
+ * dot per element. The allocating cholesky() above is a thin wrapper,
+ * and a reused destination factors bit-identically to a fresh one.
  */
 bool choleskyInto(Matrix &l, const Matrix &s);
 
@@ -43,7 +44,8 @@ Vector backwardSubstitute(const Matrix &l, const Vector &y);
 
 /**
  * Destination-passing backward substitution; x must not alias y. The
- * transposed access pattern is column-strided, so this stays scalar.
+ * transposed access pattern is column-strided, so this stays scalar:
+ * after the entry shape checks it reads L through its row-major storage.
  */
 void backwardSubstituteInto(Vector &x, const Matrix &l, const Vector &y);
 

@@ -1,5 +1,7 @@
 #include "linalg/kernels.hh"
 
+#include <algorithm>
+
 #include "common/contracts.hh"
 #include "common/parallel.hh"
 #include "linalg/simd.hh"
@@ -26,39 +28,32 @@ resizeMatrix(Matrix &out, std::size_t rows, std::size_t cols)
 constexpr std::size_t kParallelFlopThreshold = 64 * 1024;
 
 /**
- * Span width below which the axpy call overhead beats the vector win;
- * narrow blocks take a fixed-order scalar path instead. The branch is
- * on shape, never data, so it cannot break per-backend determinism.
+ * Rows per batched-primitive call when a kernel needs a small stack
+ * buffer of per-row scales or results. The batch bounds stack use only:
+ * every row's arithmetic is the same at any batch size.
  */
-constexpr std::size_t kNarrowSpan = 4;
+constexpr std::size_t kRowBatch = 16;
 
 template <typename Dst>
 void
 addOuterProductTransposedImpl(Dst &h, std::size_t r0, std::size_t c0,
                               const Matrix &a, const Matrix &b, double wt)
 {
-    const std::size_t rows = a.rows();
     const std::size_t ac = a.cols();
     const std::size_t bc = b.cols();
-    if (bc >= kNarrowSpan) {
-        const simd::Ops &v = simd::ops();
-        // Rank-1 per residual row: h_block(i, :) += (wt a(k, i)) b(k, :)
-        // streams contiguous rows of b and h.
-        for (std::size_t k = 0; k < rows; ++k) {
-            const double *arow = a.rowPtr(k);
-            const double *brow = b.rowPtr(k);
-            for (std::size_t i = 0; i < ac; ++i)
-                v.axpy(h.rowPtr(r0 + i) + c0, wt * arow[i], brow, bc);
-        }
-        return;
-    }
-    for (std::size_t i = 0; i < ac; ++i) {
-        double *hrow = h.rowPtr(r0 + i) + c0;
-        for (std::size_t j = 0; j < bc; ++j) {
-            double acc = 0.0;
-            for (std::size_t k = 0; k < rows; ++k)
-                acc += a(k, i) * b(k, j);
-            hrow[j] += wt * acc;
+    const simd::Ops &v = simd::ops();
+    // Rank-1 per residual row: h_block(i, :) += (wt a(k, i)) b(k, :)
+    // streams contiguous rows of b and h, one axpys over the block's
+    // rows per residual row.
+    double alpha[kRowBatch];
+    for (std::size_t k = 0; k < a.rows(); ++k) {
+        const double *arow = a.rowPtr(k);
+        const double *brow = b.rowPtr(k);
+        for (std::size_t i0 = 0; i0 < ac; i0 += kRowBatch) {
+            const std::size_t nr = std::min(kRowBatch, ac - i0);
+            for (std::size_t i = 0; i < nr; ++i)
+                alpha[i] = wt * arow[i0 + i];
+            v.axpys(h.rowPtr(r0 + i0) + c0, h.cols(), alpha, nr, brow, bc);
         }
     }
 }
@@ -105,11 +100,8 @@ multiplyInto(Vector &out, const Matrix &a, const Vector &x)
         // archytas-analyzer: allow(hot-path-alloc) -- shape-change slow
         // path; steady-state calls reuse the destination's storage.
         out = Vector(a.rows());
-    const simd::Ops &v = simd::ops();
-    const double *xp = x.data().data();
-    double *op = out.data().data();
-    for (std::size_t r = 0; r < a.rows(); ++r)
-        op[r] = v.dot(a.rowPtr(r), xp, a.cols());
+    simd::ops().dots(out.data().data(), a.data().data(), a.cols(), a.rows(),
+                     x.data().data(), a.cols());
 }
 
 void
@@ -122,8 +114,13 @@ subtractMultiply(Vector &out, const Matrix &a, const Vector &x)
     const simd::Ops &v = simd::ops();
     const double *xp = x.data().data();
     double *op = out.data().data();
-    for (std::size_t r = 0; r < a.rows(); ++r)
-        op[r] -= v.dot(a.rowPtr(r), xp, a.cols());
+    double dots[kRowBatch];
+    for (std::size_t r0 = 0; r0 < a.rows(); r0 += kRowBatch) {
+        const std::size_t nr = std::min(kRowBatch, a.rows() - r0);
+        v.dots(dots, a.rowPtr(r0), a.cols(), nr, xp, a.cols());
+        for (std::size_t r = 0; r < nr; ++r)
+            op[r0 + r] -= dots[r];
+    }
 }
 
 void
@@ -203,20 +200,10 @@ subtractTransposeApplyScaled(double *g, std::size_t gsize, std::size_t r0,
     ARCHYTAS_DCHECK(r0 + a.cols() <= gsize,
                     "subtractTransposeApplyScaled: segment [", r0, "+",
                     a.cols(), ") out of range for size ", gsize);
-    const std::size_t ac = a.cols();
-    if (ac >= kNarrowSpan) {
-        const simd::Ops &v = simd::ops();
-        // Rank-1 form: g_seg -= (wt x[k]) a(k, :) streams a's rows.
-        for (std::size_t k = 0; k < a.rows(); ++k)
-            v.axpy(g + r0, -(wt * x[k]), a.rowPtr(k), ac);
-        return;
-    }
-    for (std::size_t i = 0; i < ac; ++i) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < a.rows(); ++k)
-            acc += a(k, i) * x[k];
-        g[r0 + i] -= wt * acc;
-    }
+    const simd::Ops &v = simd::ops();
+    // Rank-1 form: g_seg -= (wt x[k]) a(k, :) streams a's rows.
+    for (std::size_t k = 0; k < a.rows(); ++k)
+        v.axpy(g + r0, -(wt * x[k]), a.rowPtr(k), a.cols());
 }
 
 } // namespace archytas::linalg

@@ -94,8 +94,14 @@ subtractBlockSparseSchur(Matrix &reduced, Vector &rhs, const Vector &bx,
             max_blocks, support_offsets[f + 1] - support_offsets[f]);
     arena.reset();
     double *wui_f = arena.allocateArray<double>(max_blocks * d);
+    // Negated copies of the scaled and the plain segments: the per-row
+    // scales of the off-diagonal axpys. Negation is exact, so negating
+    // once per feature gives every row the bits of negating per row.
+    double *neg_wui_f = arena.allocateArray<double>(max_blocks * d);
+    double *neg_wf = arena.allocateArray<double>(max_blocks * d);
 
     const simd::Ops &v = simd::ops();
+    const std::size_t ld = reduced.cols();
     double *rhsd = rhs.data().data();
     for (std::size_t f = 0; f < m; ++f) {
         const std::size_t s0 = support_offsets[f];
@@ -103,8 +109,11 @@ subtractBlockSparseSchur(Matrix &reduced, Vector &rhs, const Vector &bx,
         const double *wf = w_blocks.data() + s0 * d;
         const double iu = inv_u[f];
         const double bxf = bx[f];
-        for (std::size_t t = 0; t < nb * d; ++t)
+        for (std::size_t t = 0; t < nb * d; ++t) {
             wui_f[t] = wf[t] * iu;
+            neg_wui_f[t] = -wui_f[t];
+            neg_wf[t] = -wf[t];
+        }
         for (std::size_t bi = 0; bi < nb; ++bi) {
             const std::size_t rowi = support_blocks[s0 + bi] * block_stride;
             ARCHYTAS_DCHECK(bi == 0 || support_blocks[s0 + bi] >
@@ -132,19 +141,22 @@ subtractBlockSparseSchur(Matrix &reduced, Vector &rhs, const Vector &bx,
                 }
             }
 
-            // Off-diagonal block pairs: the mirror uses the commuted
-            // product wj[c] * wui_i[r] == wui_i[r] * wj[c], so the
-            // reduced matrix stays exactly symmetric.
+            // Off-diagonal block pairs, one axpys per block: row r of
+            // block (i, j) adds -wui_i[r] wj, row c of its mirror adds
+            // -wj[c] wui_i. The mirror uses the commuted product
+            // wj[c] * wui_i[r] == wui_i[r] * wj[c], so the reduced
+            // matrix stays exactly symmetric.
             for (std::size_t bj = bi + 1; bj < nb; ++bj) {
                 const std::size_t rowj =
                     support_blocks[s0 + bj] * block_stride;
+                ARCHYTAS_DCHECK(rowj + d <= reduced.rows(),
+                                "sparse Schur: block row ", rowj,
+                                " out of range for ", reduced.rows());
                 const double *wj = wf + bj * d;
-                for (std::size_t r = 0; r < d; ++r)
-                    v.axpy(reduced.rowPtr(rowi + r) + rowj, -wui_i[r], wj,
-                           d);
-                for (std::size_t c = 0; c < d; ++c)
-                    v.axpy(reduced.rowPtr(rowj + c) + rowi, -wj[c], wui_i,
-                           d);
+                v.axpys(reduced.rowPtr(rowi) + rowj, ld, neg_wui_f + bi * d,
+                        d, wj, d);
+                v.axpys(reduced.rowPtr(rowj) + rowi, ld, neg_wf + bj * d, d,
+                        wui_i, d);
             }
         }
     }

@@ -36,7 +36,24 @@ scalarAxpy(double *y, double alpha, const double *x, std::size_t n)
         y[i] += alpha * x[i];
 }
 
-constexpr Ops kScalarOps = {"scalar", scalarDot, scalarAxpy};
+void
+scalarDots(double *out, const double *a, std::size_t lda, std::size_t rows,
+           const double *b, std::size_t n)
+{
+    for (std::size_t r = 0; r < rows; ++r)
+        out[r] = scalarDot(a + r * lda, b, n);
+}
+
+void
+scalarAxpys(double *h, std::size_t ldh, const double *alpha,
+            std::size_t rows, const double *x, std::size_t n)
+{
+    for (std::size_t r = 0; r < rows; ++r)
+        scalarAxpy(h + r * ldh, alpha[r], x, n);
+}
+
+constexpr Ops kScalarOps = {"scalar", scalarDot, scalarAxpy, scalarDots,
+                            scalarAxpys};
 
 // archytas-analyzer: allow(global-state) -- the once-per-process backend
 // selection the header documents: written exactly once at startup (or by

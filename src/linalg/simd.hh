@@ -1,9 +1,10 @@
 /**
  * @file
  * SIMD backend selection for the dense hot-path kernels
- * (docs/PERFORMANCE.md). The kernels in kernels.cc / cholesky.cc express
- * their inner loops through two contiguous-span primitives (dot and
- * axpy); this header publishes the primitive table and the
+ * (docs/PERFORMANCE.md). The kernels in kernels.cc / cholesky.cc /
+ * schur.cc and the window assembly express their inner loops through two
+ * contiguous-span primitives (dot and axpy) and their row-batched forms
+ * (dots and axpys); this header publishes the primitive table and the
  * once-at-startup backend selection that fills it.
  *
  * Selection happens exactly once per process, from the `ARCHYTAS_SIMD`
@@ -15,7 +16,10 @@
  * are bit-identical at any `ARCHYTAS_THREADS` *within* a backend. The
  * AVX2 reductions associate differently from the scalar ones, so
  * cross-backend comparisons are tolerance-based (see
- * tests/linalg/test_simd_backend.cc).
+ * tests/linalg/test_simd_backend.cc). Within a backend, each row of a
+ * batched primitive is bit for bit the level-1 primitive on that row:
+ * the batch shares loads, never arithmetic, so routing a per-row loop
+ * through dots/axpys cannot move a result.
  */
 
 #ifndef ARCHYTAS_LINALG_SIMD_HH
@@ -35,7 +39,10 @@ enum class Backend
 /**
  * Table of contiguous-span primitives the dense kernels are built from.
  * All pointers must be non-null. dot only reads, so a may equal b;
- * axpy's y must not overlap x.
+ * axpy's y must not overlap x. The batched forms take a row-major
+ * operand with leading dimension lda/ldh (at least n): their outputs
+ * must not overlap any input, and axpys' rows must not overlap each
+ * other.
  */
 struct Ops
 {
@@ -44,6 +51,12 @@ struct Ops
     double (*dot)(const double *a, const double *b, std::size_t n);
     /** y[i] += alpha * x[i]. */
     void (*axpy)(double *y, double alpha, const double *x, std::size_t n);
+    /** out[r] = dot(a + r * lda, b, n) for r < rows. */
+    void (*dots)(double *out, const double *a, std::size_t lda,
+                 std::size_t rows, const double *b, std::size_t n);
+    /** axpy(h + r * ldh, alpha[r], x, n) for r < rows, in row order. */
+    void (*axpys)(double *h, std::size_t ldh, const double *alpha,
+                  std::size_t rows, const double *x, std::size_t n);
 };
 
 /**

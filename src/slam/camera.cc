@@ -25,18 +25,20 @@ PinholeCamera::projectUnchecked(const Vec3 &pc) const
 linalg::Matrix
 PinholeCamera::projectionJacobian(const Vec3 &pc) const
 {
-    linalg::Matrix j;
-    projectionJacobianInto(j, pc);
+    FixedMatrix<2, 3> fixed;
+    projectionJacobianInto(fixed, pc);
+    linalg::Matrix j(2, 3);
+    for (std::size_t r = 0; r < 2; ++r)
+        for (std::size_t c = 0; c < 3; ++c)
+            j(r, c) = fixed(r, c);
     return j;
 }
 
 void
-PinholeCamera::projectionJacobianInto(linalg::Matrix &j, const Vec3 &pc)
-    const
+PinholeCamera::projectionJacobianInto(FixedMatrix<2, 3> &j,
+                                      const Vec3 &pc) const
 {
     ARCHYTAS_ASSERT(pc.z != 0.0, "Jacobian of a zero-depth point");
-    if (j.rows() != 2 || j.cols() != 3)
-        j = linalg::Matrix(2, 3);
     const double iz = 1.0 / pc.z;
     const double iz2 = iz * iz;
     j(0, 0) = fx * iz;

@@ -55,11 +55,11 @@ struct PinholeCamera
     linalg::Matrix projectionJacobian(const Vec3 &pc) const;
 
     /**
-     * Destination-passing Jacobian: resizes j to 2 x 3 and overwrites
-     * every entry. Allocation-free once j is warmed up (assembly hot
-     * path); the allocating variant above wraps this one.
+     * Destination-passing Jacobian into fixed-size storage: overwrites
+     * every entry of j, allocation-free (assembly hot path). The
+     * allocating variant above wraps this one.
      */
-    void projectionJacobianInto(linalg::Matrix &j, const Vec3 &pc) const;
+    void projectionJacobianInto(FixedMatrix<2, 3> &j, const Vec3 &pc) const;
 
     /** Back-projects a pixel to the unit-depth bearing [x, y, 1]. */
     Vec3 bearing(const Vec2 &px) const;

@@ -1,6 +1,8 @@
 #include "slam/factors.hh"
 
+#include "common/contracts.hh"
 #include "common/logging.hh"
+#include "linalg/simd.hh"
 
 namespace archytas::slam {
 
@@ -16,15 +18,15 @@ setBlock3(linalg::Matrix &m, std::size_t r0, std::size_t c0, const Mat3 &b)
 
 /** out = j_proj(2x3) * m(3x3) written into a 2x6 block at column c0. */
 void
-composeInto(linalg::Matrix &out, std::size_t c0,
-            const linalg::Matrix &j_proj, const Mat3 &m)
+composeInto(FixedMatrix<2, 6> &out, std::size_t c0,
+            const FixedMatrix<2, 3> &j_proj, const Mat3 &m)
 {
-    for (int r = 0; r < 2; ++r)
-        for (int c = 0; c < 3; ++c) {
+    for (std::size_t r = 0; r < 2; ++r)
+        for (std::size_t c = 0; c < 3; ++c) {
             double acc = 0.0;
-            for (int k = 0; k < 3; ++k)
-                acc += j_proj(r, k) * m(k, c);
-            out(r, c0 + c) = acc;
+            for (std::size_t k = 0; k < 3; ++k)
+                acc += j_proj.m[r * 3 + k] * m.m[k * 3 + c];
+            out.m[r * 6 + c0 + c] = acc;
         }
 }
 
@@ -114,8 +116,10 @@ evaluateVisualFactor(const PinholeCamera &camera, const Pose &anchor,
                      double inv_depth, const Vec2 &measurement)
 {
     VisualFactorEval eval;
-    evaluateVisualFactorInto(eval, camera, anchor, target, bearing,
-                             inv_depth, measurement);
+    evaluateVisualFactorInto(eval, camera, anchor, target,
+                             keyframeRotation(anchor),
+                             keyframeRotation(target), bearing, inv_depth,
+                             measurement);
     return eval;
 }
 
@@ -136,6 +140,8 @@ evaluateVisualResidual(Vec2 &residual, const PinholeCamera &camera,
 void
 evaluateVisualFactorInto(VisualFactorEval &eval, const PinholeCamera &camera,
                          const Pose &anchor, const Pose &target,
+                         const KeyframeRotation &anchor_rot,
+                         const KeyframeRotation &target_rot,
                          const Vec3 &bearing, double inv_depth,
                          const Vec2 &measurement)
 {
@@ -149,23 +155,13 @@ evaluateVisualFactorInto(VisualFactorEval &eval, const PinholeCamera &camera,
     eval.residual = predicted - measurement;
 
     camera.projectionJacobianInto(eval.j_proj, p_target);
-    const linalg::Matrix &j_proj = eval.j_proj;
-    const Mat3 r_a = anchor.q.toRotationMatrix();
-    const Mat3 r_t_inv = target.q.toRotationMatrix().transposed();
-    const Mat3 r_ta = r_t_inv * r_a;
-
-    // Every entry of the reused Jacobians is overwritten below
-    // (composeInto covers both 2 x 3 halves), so stale storage cannot
-    // leak through.
-    if (eval.j_anchor.rows() != 2 || eval.j_anchor.cols() != 6)
-        eval.j_anchor = linalg::Matrix(2, 6);
-    if (eval.j_target.rows() != 2 || eval.j_target.cols() != 6)
-        eval.j_target = linalg::Matrix(2, 6);
-    if (eval.j_depth.rows() != 2 || eval.j_depth.cols() != 1)
-        eval.j_depth = linalg::Matrix(2, 1);
+    const FixedMatrix<2, 3> &j_proj = eval.j_proj;
+    const Mat3 &r_t_inv = target_rot.r_t;
+    const Mat3 r_ta = r_t_inv * anchor_rot.r;
 
     // Pose tangent ordering is [d_theta(3), d_p(3)], rotation
     // right-perturbed, translation additive (see Pose::applyTangent).
+    // composeInto covers both 2 x 3 halves, so every entry is written.
     composeInto(eval.j_anchor, 0, j_proj, (r_ta * skew(p_anchor)) * -1.0);
     composeInto(eval.j_anchor, 3, j_proj, r_t_inv);
 
@@ -174,12 +170,65 @@ evaluateVisualFactorInto(VisualFactorEval &eval, const PinholeCamera &camera,
 
     // d p_anchor / d inv_depth = -bearing / inv_depth^2.
     const Vec3 dp = r_ta * (bearing * (-1.0 / (inv_depth * inv_depth)));
-    eval.j_depth(0, 0) = j_proj(0, 0)*dp.x + j_proj(0, 1)*dp.y +
-                         j_proj(0, 2)*dp.z;
-    eval.j_depth(1, 0) = j_proj(1, 0)*dp.x + j_proj(1, 1)*dp.y +
-                         j_proj(1, 2)*dp.z;
+    eval.j_depth.m[0] = j_proj.m[0]*dp.x + j_proj.m[1]*dp.y +
+                        j_proj.m[2]*dp.z;
+    eval.j_depth.m[1] = j_proj.m[3]*dp.x + j_proj.m[4]*dp.y +
+                        j_proj.m[5]*dp.z;
 
     eval.valid = true;
+}
+
+void
+addVisualPoseBlocks(double *h, std::size_t ldh, double *g, std::size_t ra,
+                    std::size_t rt, const VisualFactorEval &ev, double wt)
+{
+    ARCHYTAS_DCHECK(ra != rt, "visual factor with its anchor as target");
+    ARCHYTAS_DCHECK(ra + kPoseDof <= ldh && rt + kPoseDof <= ldh,
+                    "visual pose blocks at ", ra, " and ", rt,
+                    " out of range for ", ldh, " rows");
+    const linalg::simd::Ops &v = linalg::simd::ops();
+    const double res[2] = {ev.residual.u, ev.residual.v};
+    // Row scales wt J(k, i) of each residual row k.
+    double alpha_a[2][kPoseDof];
+    double alpha_t[2][kPoseDof];
+    for (std::size_t k = 0; k < 2; ++k)
+        for (std::size_t i = 0; i < kPoseDof; ++i) {
+            alpha_a[k][i] = wt * ev.j_anchor.m[k * kPoseDof + i];
+            alpha_t[k][i] = wt * ev.j_target.m[k * kPoseDof + i];
+        }
+    const double *ja[2] = {ev.j_anchor.row(0), ev.j_anchor.row(1)};
+    const double *jt[2] = {ev.j_target.row(0), ev.j_target.row(1)};
+    // Blocks (a, a), (a, t), (t, a), (t, t). Residual rows go in order
+    // within each block, so every element adds its k = 0 term first.
+    for (std::size_t k = 0; k < 2; ++k)
+        v.axpys(h + ra * ldh + ra, ldh, alpha_a[k], kPoseDof, ja[k],
+                kPoseDof);
+    for (std::size_t k = 0; k < 2; ++k)
+        v.axpys(h + ra * ldh + rt, ldh, alpha_a[k], kPoseDof, jt[k],
+                kPoseDof);
+    for (std::size_t k = 0; k < 2; ++k)
+        v.axpys(h + rt * ldh + ra, ldh, alpha_t[k], kPoseDof, ja[k],
+                kPoseDof);
+    for (std::size_t k = 0; k < 2; ++k)
+        v.axpys(h + rt * ldh + rt, ldh, alpha_t[k], kPoseDof, jt[k],
+                kPoseDof);
+    for (std::size_t k = 0; k < 2; ++k)
+        v.axpy(g + ra, -(wt * res[k]), ja[k], kPoseDof);
+    for (std::size_t k = 0; k < 2; ++k)
+        v.axpy(g + rt, -(wt * res[k]), jt[k], kPoseDof);
+}
+
+void
+addVisualCoupling(double *seg, std::size_t stride,
+                  const FixedMatrix<2, 6> &j_pose,
+                  const FixedMatrix<2, 1> &j_depth, double wt)
+{
+    for (std::size_t i = 0; i < kPoseDof; ++i) {
+        double acc = 0.0;
+        acc += j_pose.m[i] * j_depth.m[0];
+        acc += j_pose.m[kPoseDof + i] * j_depth.m[1];
+        seg[i * stride] += wt * acc;
+    }
 }
 
 ImuFactorEval

@@ -23,53 +23,101 @@ namespace archytas::slam {
 inline constexpr double kGravity = 9.81;
 inline Vec3 gravityVector() { return {0.0, 0.0, -kGravity}; }
 
-/** Evaluation of one visual observation. */
+/**
+ * A keyframe's rotation matrix and its transpose. The window assembly
+ * computes them once per keyframe and build, and every visual factor
+ * touching the keyframe reads them (its anchor's R, its target's R^T).
+ */
+struct KeyframeRotation
+{
+    Mat3 r;   //!< Body -> world: pose.q.toRotationMatrix().
+    Mat3 r_t; //!< World -> body: r.transposed().
+};
+
+/** The KeyframeRotation of a pose. */
+inline KeyframeRotation
+keyframeRotation(const Pose &pose)
+{
+    KeyframeRotation rot;
+    rot.r = pose.q.toRotationMatrix();
+    rot.r_t = rot.r.transposed();
+    return rot;
+}
+
+/**
+ * Evaluation of one visual observation. The Jacobian blocks are
+ * fixed-size and held inline, so a reused eval never allocates.
+ */
 struct VisualFactorEval
 {
-    bool valid = false;          //!< False when the point projects badly.
-    Vec2 residual;               //!< Predicted pixel minus measurement.
-    linalg::Matrix j_anchor;     //!< 2 x 6, w.r.t. anchor pose tangent.
-    linalg::Matrix j_target;     //!< 2 x 6, w.r.t. target pose tangent.
-    linalg::Matrix j_depth;      //!< 2 x 1, w.r.t. inverse depth.
-    /** 2 x 3 projection-Jacobian intermediate, kept as a member so a
-     *  reused eval evaluates without allocating. Meaningful only when
-     *  valid; stale matrices may linger after an invalid evaluation. */
-    linalg::Matrix j_proj;
+    bool valid = false;              //!< False when the point projects badly.
+    Vec2 residual;                   //!< Predicted pixel minus measurement.
+    FixedMatrix<2, 6> j_anchor;      //!< W.r.t. anchor pose tangent.
+    FixedMatrix<2, 6> j_target;      //!< W.r.t. target pose tangent.
+    FixedMatrix<2, 1> j_depth;       //!< W.r.t. inverse depth.
+    /** Projection-Jacobian intermediate. Meaningful only when valid;
+     *  stale values may linger after an invalid evaluation. */
+    FixedMatrix<2, 3> j_proj;
 };
 
 /**
- * Evaluates the reprojection residual and Jacobians of a feature seen in a
- * target keyframe, with the feature anchored (by bearing + inverse depth)
- * in its anchor keyframe.
+ * Evaluates the reprojection residual and Jacobians of a feature seen in
+ * a target keyframe, with the feature anchored (by bearing + inverse
+ * depth) in its anchor keyframe. The one visual evaluator: the window
+ * assembly and marginalization call it with rotations computed once per
+ * keyframe.
  *
+ * @param eval       Overwritten; every Jacobian entry is set when valid.
  * @param camera     Pinhole intrinsics.
  * @param anchor     Anchor keyframe pose (body == camera frame).
  * @param target     Observing keyframe pose.
+ * @param anchor_rot keyframeRotation(anchor).
+ * @param target_rot keyframeRotation(target).
  * @param bearing    Unit-depth bearing in the anchor camera.
  * @param inv_depth  Inverse depth along the bearing.
  * @param measurement Observed pixel in the target frame.
  */
+void evaluateVisualFactorInto(VisualFactorEval &eval,
+                              const PinholeCamera &camera,
+                              const Pose &anchor, const Pose &target,
+                              const KeyframeRotation &anchor_rot,
+                              const KeyframeRotation &target_rot,
+                              const Vec3 &bearing, double inv_depth,
+                              const Vec2 &measurement);
+
+/** Convenience wrapper: computes both rotations, returns a fresh eval. */
 VisualFactorEval evaluateVisualFactor(const PinholeCamera &camera,
                                       const Pose &anchor, const Pose &target,
                                       const Vec3 &bearing, double inv_depth,
                                       const Vec2 &measurement);
 
 /**
- * Destination-passing variant for the assembly hot path: writes into a
- * caller-owned eval whose matrices are resized once and then reused, so
- * steady-state evaluation allocates nothing. Produces bit-identical
- * values to evaluateVisualFactor (which wraps this one).
+ * Adds one valid visual factor's pose information wt J_p^T J_q to the
+ * 6 x 6 blocks (ra, ra), (ra, rt), (rt, ra) and (rt, rt) of the
+ * row-major ldh x ldh matrix h, p, q in {anchor, target}, and its pose
+ * gradient -wt J_p^T r to the 6-entry segments g[ra..] and g[rt..] of
+ * the ldh-long g.
+ * Each block takes one simd axpys per residual row (row i scaled by
+ * wt J_p(k, i)); each segment takes one axpy per residual row. The
+ * blocks must not overlap (ra != rt).
  */
-void evaluateVisualFactorInto(VisualFactorEval &eval,
-                              const PinholeCamera &camera,
-                              const Pose &anchor, const Pose &target,
-                              const Vec3 &bearing, double inv_depth,
-                              const Vec2 &measurement);
+void addVisualPoseBlocks(double *h, std::size_t ldh, double *g,
+                         std::size_t ra, std::size_t rt,
+                         const VisualFactorEval &ev, double wt);
+
+/**
+ * Adds wt J_pose^T j_depth, the feature-pose coupling of one valid
+ * visual factor, to the 6 entries seg[i * stride]: entry i adds
+ * wt * ((0 + J(0, i) j0) + J(1, i) j1).
+ */
+void addVisualCoupling(double *seg, std::size_t stride,
+                       const FixedMatrix<2, 6> &j_pose,
+                       const FixedMatrix<2, 1> &j_depth, double wt);
 
 /**
  * Residual-only visual evaluation for LM step checks: the validity and
  * residual of evaluateVisualFactorInto, bit for bit (both share one
- * projection), without the Jacobians.
+ * projection), without the Jacobians or the rotation matrices.
  *
  * @return false when the point projects badly; residual is then unset.
  */

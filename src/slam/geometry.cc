@@ -40,49 +40,6 @@ Mat3::operator-(const Mat3 &o) const
     return r;
 }
 
-Mat3
-Mat3::operator*(const Mat3 &o) const
-{
-    Mat3 r;
-    for (int i = 0; i < 3; ++i)
-        for (int j = 0; j < 3; ++j) {
-            double acc = 0.0;
-            for (int k = 0; k < 3; ++k)
-                acc += (*this)(i, k) * o(k, j);
-            r(i, j) = acc;
-        }
-    return r;
-}
-
-Vec3
-Mat3::operator*(const Vec3 &v) const
-{
-    return {
-        (*this)(0,0)*v.x + (*this)(0,1)*v.y + (*this)(0,2)*v.z,
-        (*this)(1,0)*v.x + (*this)(1,1)*v.y + (*this)(1,2)*v.z,
-        (*this)(2,0)*v.x + (*this)(2,1)*v.y + (*this)(2,2)*v.z,
-    };
-}
-
-Mat3
-Mat3::operator*(double s) const
-{
-    Mat3 r;
-    for (int i = 0; i < 9; ++i)
-        r.m[i] = m[i] * s;
-    return r;
-}
-
-Mat3
-Mat3::transposed() const
-{
-    Mat3 r;
-    for (int i = 0; i < 3; ++i)
-        for (int j = 0; j < 3; ++j)
-            r(i, j) = (*this)(j, i);
-    return r;
-}
-
 double
 Mat3::maxAbsDiff(const Mat3 &o) const
 {
@@ -100,16 +57,6 @@ Mat3::toMatrix() const
         for (int c = 0; c < 3; ++c)
             out(r, c) = (*this)(r, c);
     return out;
-}
-
-Mat3
-skew(const Vec3 &v)
-{
-    Mat3 s;
-    s(0, 1) = -v.z; s(0, 2) =  v.y;
-    s(1, 0) =  v.z; s(1, 2) = -v.x;
-    s(2, 0) = -v.y; s(2, 1) =  v.x;
-    return s;
 }
 
 Mat3
@@ -218,28 +165,6 @@ Quaternion::normalized() const
     return {w / n, x / n, y / n, z / n};
 }
 
-Vec3
-Quaternion::rotate(const Vec3 &v) const
-{
-    // v' = v + 2 w (u x v) + 2 u x (u x v), u = (x, y, z).
-    const Vec3 u{x, y, z};
-    const Vec3 t = u.cross(v) * 2.0;
-    return v + t * w + u.cross(t);
-}
-
-Mat3
-Quaternion::toRotationMatrix() const
-{
-    Mat3 r;
-    const double xx = x*x, yy = y*y, zz = z*z;
-    const double xy = x*y, xz = x*z, yz = y*z;
-    const double wx = w*x, wy = w*y, wz = w*z;
-    r(0,0) = 1 - 2*(yy + zz); r(0,1) = 2*(xy - wz);     r(0,2) = 2*(xz + wy);
-    r(1,0) = 2*(xy + wz);     r(1,1) = 1 - 2*(xx + zz); r(1,2) = 2*(yz - wx);
-    r(2,0) = 2*(xz - wy);     r(2,1) = 2*(yz + wx);     r(2,2) = 1 - 2*(xx + yy);
-    return r;
-}
-
 Quaternion
 Quaternion::fromRotationMatrix(const Mat3 &r)
 {
@@ -284,12 +209,6 @@ Pose::inverse() const
 {
     const Quaternion qi = q.conjugate();
     return {qi, -qi.rotate(p)};
-}
-
-Vec3
-Pose::inverseTransform(const Vec3 &pt) const
-{
-    return q.conjugate().rotate(pt - p);
 }
 
 void

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 
 #include "linalg/matrix.hh"
 
@@ -60,10 +61,52 @@ struct Mat3
 
     Mat3 operator+(const Mat3 &o) const;
     Mat3 operator-(const Mat3 &o) const;
-    Mat3 operator*(const Mat3 &o) const;
-    Vec3 operator*(const Vec3 &v) const;
-    Mat3 operator*(double s) const;
-    Mat3 transposed() const;
+
+    // The products, the transpose, skew, the quaternion rotations and
+    // Pose::inverseTransform are defined in this header so the
+    // per-observation factor code inlines them.
+    Mat3
+    operator*(const Mat3 &o) const
+    {
+        Mat3 r;
+        for (int i = 0; i < 3; ++i)
+            for (int j = 0; j < 3; ++j) {
+                double acc = 0.0;
+                for (int k = 0; k < 3; ++k)
+                    acc += (*this)(i, k) * o(k, j);
+                r(i, j) = acc;
+            }
+        return r;
+    }
+
+    Vec3
+    operator*(const Vec3 &v) const
+    {
+        return {
+            (*this)(0,0)*v.x + (*this)(0,1)*v.y + (*this)(0,2)*v.z,
+            (*this)(1,0)*v.x + (*this)(1,1)*v.y + (*this)(1,2)*v.z,
+            (*this)(2,0)*v.x + (*this)(2,1)*v.y + (*this)(2,2)*v.z,
+        };
+    }
+
+    Mat3
+    operator*(double s) const
+    {
+        Mat3 r;
+        for (int i = 0; i < 9; ++i)
+            r.m[i] = m[i] * s;
+        return r;
+    }
+
+    Mat3
+    transposed() const
+    {
+        Mat3 r;
+        for (int i = 0; i < 3; ++i)
+            for (int j = 0; j < 3; ++j)
+                r(i, j) = (*this)(j, i);
+        return r;
+    }
 
     /** Frobenius-norm distance to another matrix. */
     double maxAbsDiff(const Mat3 &o) const;
@@ -72,8 +115,52 @@ struct Mat3
     linalg::Matrix toMatrix() const;
 };
 
+/**
+ * Fixed-size row-major R x C block of doubles: the visual factor's
+ * Jacobian blocks, held inline (no heap) and read through row pointers
+ * on the assembly hot path. Element access is bounds-checked in
+ * contract builds, like linalg::Matrix.
+ */
+template <std::size_t R, std::size_t C>
+struct FixedMatrix
+{
+    std::array<double, R * C> m{};
+
+    double
+    operator()(std::size_t r, std::size_t c) const
+    {
+        ARCHYTAS_CHECK_BOUNDS("FixedMatrix row", r, R);
+        ARCHYTAS_CHECK_BOUNDS("FixedMatrix col", c, C);
+        return m[r * C + c];
+    }
+
+    double &
+    operator()(std::size_t r, std::size_t c)
+    {
+        ARCHYTAS_CHECK_BOUNDS("FixedMatrix row", r, R);
+        ARCHYTAS_CHECK_BOUNDS("FixedMatrix col", c, C);
+        return m[r * C + c];
+    }
+
+    /** Row r's C contiguous entries. */
+    const double *
+    row(std::size_t r) const
+    {
+        ARCHYTAS_CHECK_BOUNDS("FixedMatrix::row", r, R);
+        return m.data() + r * C;
+    }
+};
+
 /** Skew-symmetric (hat) operator: skew(v) w == v x w. */
-Mat3 skew(const Vec3 &v);
+inline Mat3
+skew(const Vec3 &v)
+{
+    Mat3 s;
+    s(0, 1) = -v.z; s(0, 2) =  v.y;
+    s(1, 0) =  v.z; s(1, 2) = -v.x;
+    s(2, 0) = -v.y; s(2, 1) =  v.x;
+    return s;
+}
 
 /** SO(3) exponential map: rotation matrix from an axis-angle vector. */
 Mat3 so3Exp(const Vec3 &omega);
@@ -107,8 +194,34 @@ struct Quaternion
     double norm() const { return std::sqrt(w*w + x*x + y*y + z*z); }
     Quaternion normalized() const;
 
-    Vec3 rotate(const Vec3 &v) const;
-    Mat3 toRotationMatrix() const;
+    Vec3
+    rotate(const Vec3 &v) const
+    {
+        // v' = v + 2 w (u x v) + 2 u x (u x v), u = (x, y, z).
+        const Vec3 u{x, y, z};
+        const Vec3 t = u.cross(v) * 2.0;
+        return v + t * w + u.cross(t);
+    }
+
+    Mat3
+    toRotationMatrix() const
+    {
+        Mat3 r;
+        const double xx = x*x, yy = y*y, zz = z*z;
+        const double xy = x*y, xz = x*z, yz = y*z;
+        const double wx = w*x, wy = w*y, wz = w*z;
+        r(0,0) = 1 - 2*(yy + zz);
+        r(0,1) = 2*(xy - wz);
+        r(0,2) = 2*(xz + wy);
+        r(1,0) = 2*(xy + wz);
+        r(1,1) = 1 - 2*(xx + zz);
+        r(1,2) = 2*(yz - wx);
+        r(2,0) = 2*(xz - wy);
+        r(2,1) = 2*(yz + wx);
+        r(2,2) = 1 - 2*(xx + yy);
+        return r;
+    }
+
     static Quaternion fromRotationMatrix(const Mat3 &r);
 };
 
@@ -128,7 +241,11 @@ struct Pose
     /** Maps a point from body frame to world frame. */
     Vec3 transform(const Vec3 &pt) const { return q.rotate(pt) + p; }
     /** Maps a point from world frame to body frame. */
-    Vec3 inverseTransform(const Vec3 &pt) const;
+    Vec3
+    inverseTransform(const Vec3 &pt) const
+    {
+        return q.conjugate().rotate(pt - p);
+    }
 
     /**
      * Applies a 6-DoF tangent update [d_theta(3), d_p(3)]: rotation is

@@ -82,7 +82,8 @@ solveWindow(WindowProblem &problem, const LmOptions &options,
                 hook(dy, dx);
             problem.snapshotInto(scratch.trial);
             problem.applyDelta(dy, dx);
-            const double new_cost = problem.evaluateCost();
+            const double new_cost =
+                problem.evaluateCost(scratch.assembly.prior);
             if (!std::isfinite(new_cost))
                 report.non_finite_cost = true;
             if (std::isfinite(new_cost) && new_cost < cost) {

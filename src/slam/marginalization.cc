@@ -6,28 +6,11 @@
 #include "common/logging.hh"
 #include "linalg/kernels.hh"
 #include "linalg/schur.hh"
+#include "linalg/simd.hh"
 
 namespace archytas::slam {
 
 namespace {
-
-// Factor accumulation runs on the shared destination-passing kernels
-// (linalg/kernels.hh); aliases keep the call sites readable. H lives in
-// the scratch arena as a view; g is a raw arena segment.
-
-void
-accumulateBlock(linalg::MatrixView &h, std::size_t r0, std::size_t c0,
-                const linalg::Matrix &a, const linalg::Matrix &b, double wt)
-{
-    linalg::addOuterProductTransposed(h, r0, c0, a, b, wt);
-}
-
-void
-accumulateRhs(double *g, std::size_t gsize, std::size_t r0,
-              const linalg::Matrix &a, const double *res, double wt)
-{
-    linalg::subtractTransposeApplyScaled(g, gsize, r0, a, res, wt);
-}
 
 /** Copies a block of the arena-backed H into a reusable dense matrix. */
 void
@@ -90,44 +73,58 @@ marginalizeOldestKeyframe(const PinholeCamera &camera,
     double *g = scratch.arena.allocateArray<double>(dim);
     std::fill(g, g + dim, 0.0);
 
-    // Visual factors of the marginalized features.
+    // Visual factors of the marginalized features, evaluated with each
+    // keyframe's rotations computed once. Per observation, the blocks
+    // touching the feature (its diagonal entry, row, column and rhs)
+    // are written here; the pose blocks and pose rhs by the shared
+    // addVisualPoseBlocks.
+    std::vector<KeyframeRotation> &rot = scratch.rotations;
+    rot.resize(b);
+    for (std::size_t k = 0; k < b; ++k)
+        rot[k] = keyframeRotation(keyframes[k].pose);
+    const linalg::simd::Ops &v = linalg::simd::ops();
+    double *hd = h.data();
     for (std::size_t fi = 0; fi < am; ++fi) {
         const Feature &feat = *marg_features[fi];
         for (const auto &obs : feat.observations) {
-            if (obs.keyframe_index == feat.anchor_index)
+            const std::size_t t_idx = obs.keyframe_index;
+            if (t_idx == feat.anchor_index)
                 continue;
             evaluateVisualFactorInto(
-                scratch.ev, camera, keyframes[0].pose,
-                keyframes[obs.keyframe_index].pose, feat.anchor_bearing,
-                feat.inverse_depth, obs.pixel);
+                scratch.ev, camera, keyframes[0].pose, keyframes[t_idx].pose,
+                rot[0], rot[t_idx], feat.anchor_bearing, feat.inverse_depth,
+                obs.pixel);
             const VisualFactorEval &ev = scratch.ev;
             if (!ev.valid)
                 continue;
             const double res[2] = {ev.residual.u, ev.residual.v};
+            const double *jd = ev.j_depth.m.data();
             const std::size_t ra = kfOffset(0);
-            const std::size_t rt = kfOffset(obs.keyframe_index);
+            const std::size_t rt = kfOffset(t_idx);
 
-            accumulateBlock(h, fi, fi, ev.j_depth, ev.j_depth, visual_weight);
-            accumulateBlock(h, fi, ra, ev.j_depth, ev.j_anchor,
-                            visual_weight);
-            accumulateBlock(h, ra, fi, ev.j_anchor, ev.j_depth,
-                            visual_weight);
-            accumulateBlock(h, fi, rt, ev.j_depth, ev.j_target,
-                            visual_weight);
-            accumulateBlock(h, rt, fi, ev.j_target, ev.j_depth,
-                            visual_weight);
-            accumulateBlock(h, ra, ra, ev.j_anchor, ev.j_anchor,
-                            visual_weight);
-            accumulateBlock(h, ra, rt, ev.j_anchor, ev.j_target,
-                            visual_weight);
-            accumulateBlock(h, rt, ra, ev.j_target, ev.j_anchor,
-                            visual_weight);
-            accumulateBlock(h, rt, rt, ev.j_target, ev.j_target,
-                            visual_weight);
-
-            accumulateRhs(g, dim, fi, ev.j_depth, res, visual_weight);
-            accumulateRhs(g, dim, ra, ev.j_anchor, res, visual_weight);
-            accumulateRhs(g, dim, rt, ev.j_target, res, visual_weight);
+            // (fi, fi): wt j_depth^T j_depth.
+            double hff = 0.0;
+            hff += jd[0] * jd[0];
+            hff += jd[1] * jd[1];
+            hd[fi * dim + fi] += visual_weight * hff;
+            // Row fi: wt j_depth^T J_pose, one axpy per residual row.
+            for (std::size_t k = 0; k < 2; ++k) {
+                v.axpy(hd + fi * dim + ra, visual_weight * jd[k],
+                       ev.j_anchor.row(k), kPoseDof);
+                v.axpy(hd + fi * dim + rt, visual_weight * jd[k],
+                       ev.j_target.row(k), kPoseDof);
+            }
+            // Column fi: wt J_pose^T j_depth.
+            addVisualCoupling(hd + ra * dim + fi, dim, ev.j_anchor,
+                              ev.j_depth, visual_weight);
+            addVisualCoupling(hd + rt * dim + fi, dim, ev.j_target,
+                              ev.j_depth, visual_weight);
+            addVisualPoseBlocks(hd, dim, g, ra, rt, ev, visual_weight);
+            // Feature rhs: -wt j_depth^T r.
+            double gf = 0.0;
+            gf += jd[0] * res[0];
+            gf += jd[1] * res[1];
+            g[fi] -= visual_weight * gf;
         }
     }
 
@@ -139,15 +136,19 @@ marginalizeOldestKeyframe(const PinholeCamera &camera,
         linalg::multiplyInto(scratch.imu_lr, information, ev.residual);
         linalg::multiplyInto(scratch.imu_li, information, ev.j_i);
         linalg::multiplyInto(scratch.imu_lj, information, ev.j_j);
-        const linalg::Vector &lr = scratch.imu_lr;
+        const double *lr = scratch.imu_lr.data().data();
         const std::size_t r0 = kfOffset(0);
         const std::size_t r1 = kfOffset(1);
-        accumulateBlock(h, r0, r0, ev.j_i, scratch.imu_li, 1.0);
-        accumulateBlock(h, r0, r1, ev.j_i, scratch.imu_lj, 1.0);
-        accumulateBlock(h, r1, r0, ev.j_j, scratch.imu_li, 1.0);
-        accumulateBlock(h, r1, r1, ev.j_j, scratch.imu_lj, 1.0);
-        accumulateRhs(g, dim, r0, ev.j_i, lr.data().data(), 1.0);
-        accumulateRhs(g, dim, r1, ev.j_j, lr.data().data(), 1.0);
+        linalg::addOuterProductTransposed(h, r0, r0, ev.j_i, scratch.imu_li,
+                                          1.0);
+        linalg::addOuterProductTransposed(h, r0, r1, ev.j_i, scratch.imu_lj,
+                                          1.0);
+        linalg::addOuterProductTransposed(h, r1, r0, ev.j_j, scratch.imu_li,
+                                          1.0);
+        linalg::addOuterProductTransposed(h, r1, r1, ev.j_j, scratch.imu_lj,
+                                          1.0);
+        linalg::subtractTransposeApplyScaled(g, dim, r0, ev.j_i, lr, 1.0);
+        linalg::subtractTransposeApplyScaled(g, dim, r1, ev.j_j, lr, 1.0);
     }
 
     // Old prior (covers keyframes [0, old_prior.keyframes())).

@@ -43,6 +43,7 @@ struct MarginalizationScratch
 {
     common::Arena arena; //!< Backs the dense H and g accumulators.
     std::vector<const Feature *> marg_features;
+    std::vector<KeyframeRotation> rotations; //!< Each keyframe's R, R^T.
     VisualFactorEval ev;           //!< Reused visual-factor evaluation.
     linalg::Matrix imu_li, imu_lj; //!< Lambda J products.
     linalg::Vector imu_lr;         //!< Lambda r product.

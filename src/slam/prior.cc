@@ -59,47 +59,64 @@ PriorFactor::boxMinus(const std::vector<KeyframeState> &current) const
 
 void
 PriorFactor::deviation(const std::vector<KeyframeState> &current,
-                       linalg::Vector &dx, linalg::Vector &hdx) const
+                       PriorWork &work) const
 {
-    dx = boxMinus(current);
-    hdx = linalg::Vector(dim());
-    const double *d = dx.data().data();
-    for (std::size_t r = 0; r < dim(); ++r) {
+    ARCHYTAS_ASSERT(current.size() >= lin_.size(),
+                    "prior covers more keyframes than the window holds");
+    const std::size_t n = dim();
+    if (work.dx.size() != n)
+        work.dx = linalg::Vector(n);
+    if (work.hdx.size() != n)
+        work.hdx = linalg::Vector(n);
+    // Every entry of both buffers is overwritten, so reused storage
+    // gives boxMinus()'s bits.
+    double *d = work.dx.data().data();
+    for (std::size_t i = 0; i < lin_.size(); ++i)
+        keyframeBoxMinusInto(d + i * kKeyframeDof, current[i], lin_[i]);
+    double *hd = work.hdx.data().data();
+    for (std::size_t r = 0; r < n; ++r) {
         const double *hrow = h_.rowPtr(r);
         double acc = 0.0;
-        for (std::size_t c = 0; c < dim(); ++c)
+        for (std::size_t c = 0; c < n; ++c)
             acc += hrow[c] * d[c];
-        hdx[r] = acc;
+        hd[r] = acc;
     }
 }
 
 double
-PriorFactor::costFrom(const linalg::Vector &dx,
-                      const linalg::Vector &hdx) const
+PriorFactor::costFrom(const PriorWork &work) const
 {
-    return 0.5 * dx.dot(hdx) - r_.dot(dx);
+    return 0.5 * work.dx.dot(work.hdx) - r_.dot(work.dx);
 }
 
 double
 PriorFactor::cost(const std::vector<KeyframeState> &current) const
 {
+    PriorWork work;
+    return cost(current, work);
+}
+
+double
+PriorFactor::cost(const std::vector<KeyframeState> &current,
+                  PriorWork &work) const
+{
     if (empty())
         return 0.0;
-    linalg::Vector dx, hdx;
-    deviation(current, dx, hdx);
-    return costFrom(dx, hdx);
+    deviation(current, work);
+    return costFrom(work);
 }
 
 double
 PriorFactor::accumulate(const std::vector<KeyframeState> &current,
-                        linalg::Matrix &h_out, linalg::Vector &b_out) const
+                        linalg::Matrix &h_out, linalg::Vector &b_out,
+                        PriorWork &work) const
 {
     if (empty())
         return 0.0;
     ARCHYTAS_ASSERT(h_out.rows() >= dim() && b_out.size() >= dim(),
                     "prior accumulate target too small");
-    linalg::Vector dx, hdx;
-    deviation(current, dx, hdx);
+    deviation(current, work);
+    const linalg::Vector &hdx = work.hdx;
     for (std::size_t r = 0; r < dim(); ++r) {
         b_out[r] += r_[r] - hdx[r];
         const double *hrow = h_.rowPtr(r);
@@ -107,7 +124,7 @@ PriorFactor::accumulate(const std::vector<KeyframeState> &current,
         for (std::size_t c = 0; c < dim(); ++c)
             orow[c] += hrow[c];
     }
-    return costFrom(dx, hdx);
+    return costFrom(work);
 }
 
 PriorFactor

@@ -19,6 +19,17 @@
 
 namespace archytas::slam {
 
+/**
+ * Caller-owned buffers of one prior evaluation: the deviation dx and
+ * H dx. Reused across calls (one per solver scratch), they leave
+ * PriorFactor::cost and accumulate without heap allocations once sized.
+ */
+struct PriorWork
+{
+    linalg::Vector dx;
+    linalg::Vector hdx;
+};
+
 /** Quadratic prior over the leading keyframes of the window. */
 class PriorFactor
 {
@@ -53,14 +64,20 @@ class PriorFactor
     /** Prior cost 0.5 dx^T H dx - r^T dx at the given states. */
     double cost(const std::vector<KeyframeState> &current) const;
 
+    /** As cost(current), computing dx and H dx in work's buffers. */
+    double cost(const std::vector<KeyframeState> &current,
+                PriorWork &work) const;
+
     /**
      * Accumulates the prior into dense normal equations over the window's
      * keyframe states, h_out (15b x 15b) += H and b_out += r - H dx, and
-     * returns cost(current): one boxMinus and one H dx serve both, with
-     * the same bits as the separate calls.
+     * returns cost(current): one boxMinus and one H dx, computed in
+     * work's buffers, serve both, with the same bits as the separate
+     * calls.
      */
     double accumulate(const std::vector<KeyframeState> &current,
-                      linalg::Matrix &h_out, linalg::Vector &b_out) const;
+                      linalg::Matrix &h_out, linalg::Vector &b_out,
+                      PriorWork &work) const;
 
     /**
      * Drops the first keyframe's 15 rows/cols, used when the covered
@@ -70,12 +87,12 @@ class PriorFactor
     PriorFactor shifted() const;
 
   private:
-    /** dx = boxMinus(current) and hdx = H dx, rows summed left to right. */
+    /** work.dx = boxMinus(current) and work.hdx = H dx, rows summed left
+     *  to right; resizes the buffers only when the dimension changes. */
     void deviation(const std::vector<KeyframeState> &current,
-                   linalg::Vector &dx, linalg::Vector &hdx) const;
+                   PriorWork &work) const;
     /** 0.5 dx^T H dx - r^T dx from a deviation(). */
-    double costFrom(const linalg::Vector &dx,
-                    const linalg::Vector &hdx) const;
+    double costFrom(const PriorWork &work) const;
 
     linalg::Matrix h_;
     linalg::Vector r_;

@@ -107,16 +107,19 @@ huberWeight(double weight, double delta, const Vec2 &res)
 
 /**
  * One IMU factor's cost 0.5 r^T Lambda r, leaving lr = Lambda r for the
- * rhs. The row products run on the simd dot, as multiplyInto does, and
+ * rhs. The row products run on one simd dots, as multiplyInto does, and
  * the outer dot sums left to right, so build() and evaluateCost() agree
  * bit for bit.
  */
 double
 imuCost(const linalg::Matrix &information, const double *r, double *lr)
 {
-    const linalg::simd::Ops &v = linalg::simd::ops();
-    for (std::size_t i = 0; i < kKeyframeDof; ++i)
-        lr[i] = v.dot(information.rowPtr(i), r, kKeyframeDof);
+    ARCHYTAS_CHECK_DIM("imuCost: information rows", information.rows(),
+                       kKeyframeDof);
+    ARCHYTAS_CHECK_DIM("imuCost: information cols", information.cols(),
+                       kKeyframeDof);
+    linalg::simd::ops().dots(lr, information.rowPtr(0), kKeyframeDof,
+                             kKeyframeDof, r, kKeyframeDof);
     double acc = 0.0;
     for (std::size_t i = 0; i < kKeyframeDof; ++i)
         acc += r[i] * lr[i];
@@ -127,14 +130,13 @@ imuCost(const linalg::Matrix &information, const double *r, double *lr)
  * Feature f's pose-row segment of W in keyframe block blk, found by a
  * scan of f's sorted support (at most K entries). blk must be in it.
  */
-linalg::MatrixView
+double *
 wSegment(NormalEquations &eq, std::size_t f, std::size_t blk)
 {
     std::size_t s = eq.support_offsets[f];
     while (eq.support_blocks[s] != blk)
         ++s;
-    return linalg::MatrixView(eq.w_blocks.data() + s * kPoseDof, kPoseDof,
-                              1);
+    return eq.w_blocks.data() + s * kPoseDof;
 }
 
 } // namespace
@@ -240,6 +242,13 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
         sh.cost = 0.0;
     }
 
+    // --- Keyframe rotations (serial): R and R^T once per keyframe, read
+    // by every visual factor anchored in or observed from it ---
+    std::vector<KeyframeRotation> &rot = scratch.rotations;
+    rot.resize(keyframes_.size());
+    for (std::size_t k = 0; k < keyframes_.size(); ++k)
+        rot[k] = keyframeRotation(keyframes_[k].pose);
+
     // --- Visual factors (parallel per-feature chunk) ---
     // Feature f exclusively owns u_diag[f], bx[f] and its w_blocks
     // segments, so chunk tasks write those into the shared system
@@ -255,13 +264,13 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
                 const Feature &feat = features_[f];
                 const std::size_t a_idx = feat.anchor_index;
                 for (const auto &obs : feat.observations) {
-                    if (obs.keyframe_index == a_idx)
+                    const std::size_t t_idx = obs.keyframe_index;
+                    if (t_idx == a_idx)
                         continue; // Anchor observation: no information.
                     evaluateVisualFactorInto(
                         sh.ev, camera_, keyframes_[a_idx].pose,
-                        keyframes_[obs.keyframe_index].pose,
-                        feat.anchor_bearing, feat.inverse_depth,
-                        obs.pixel);
+                        keyframes_[t_idx].pose, rot[a_idx], rot[t_idx],
+                        feat.anchor_bearing, feat.inverse_depth, obs.pixel);
                     const VisualFactorEval &ev = sh.ev;
                     if (!ev.valid)
                         continue;
@@ -273,51 +282,23 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
                     sh.cost +=
                         0.5 * wt * (res[0] * res[0] + res[1] * res[1]);
 
-                    // Shard rows (6-strided) of the anchor and target
-                    // pose blocks.
-                    const std::size_t pa = a_idx * kPoseDof;
-                    const std::size_t pt = obs.keyframe_index * kPoseDof;
-
-                    // U (diagonal): j_depth^T j_depth.
-                    eq.u_diag[f] +=
-                        wt * (ev.j_depth(0, 0) * ev.j_depth(0, 0) +
-                              ev.j_depth(1, 0) * ev.j_depth(1, 0));
-                    // bx.
-                    eq.bx[f] -= wt * (ev.j_depth(0, 0) * res[0] +
-                                      ev.j_depth(1, 0) * res[1]);
+                    // U (diagonal): j_depth^T j_depth, and bx.
+                    const double jd0 = ev.j_depth.m[0];
+                    const double jd1 = ev.j_depth.m[1];
+                    eq.u_diag[f] += wt * (jd0 * jd0 + jd1 * jd1);
+                    eq.bx[f] -= wt * (jd0 * res[0] + jd1 * res[1]);
 
                     // W: column f's anchor and target pose segments.
-                    linalg::MatrixView w_anchor = wSegment(eq, f, a_idx);
-                    linalg::MatrixView w_target =
-                        wSegment(eq, f, obs.keyframe_index);
-                    linalg::addOuterProductTransposed(w_anchor, 0, 0,
-                                                      ev.j_anchor,
-                                                      ev.j_depth, wt);
-                    linalg::addOuterProductTransposed(w_target, 0, 0,
-                                                      ev.j_target,
-                                                      ev.j_depth, wt);
+                    addVisualCoupling(wSegment(eq, f, a_idx), 1,
+                                      ev.j_anchor, ev.j_depth, wt);
+                    addVisualCoupling(wSegment(eq, f, t_idx), 1,
+                                      ev.j_target, ev.j_depth, wt);
 
-                    // V contributions: (a,a), (a,t), (t,a), (t,t).
-                    linalg::addOuterProductTransposed(sh.v, pa, pa,
-                                                      ev.j_anchor,
-                                                      ev.j_anchor, wt);
-                    linalg::addOuterProductTransposed(sh.v, pa, pt,
-                                                      ev.j_anchor,
-                                                      ev.j_target, wt);
-                    linalg::addOuterProductTransposed(sh.v, pt, pa,
-                                                      ev.j_target,
-                                                      ev.j_anchor, wt);
-                    linalg::addOuterProductTransposed(sh.v, pt, pt,
-                                                      ev.j_target,
-                                                      ev.j_target, wt);
-
-                    // by.
-                    linalg::subtractTransposeApplyScaled(sh.by, np, pa,
-                                                         ev.j_anchor, res,
-                                                         wt);
-                    linalg::subtractTransposeApplyScaled(sh.by, np, pt,
-                                                         ev.j_target, res,
-                                                         wt);
+                    // V's (a,a), (a,t), (t,a), (t,t) pose blocks and the
+                    // pose rhs, at the shard's 6-strided rows.
+                    addVisualPoseBlocks(sh.v.data(), np, sh.by,
+                                        a_idx * kPoseDof, t_idx * kPoseDof,
+                                        ev, wt);
                 }
             }
         });
@@ -375,13 +356,20 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
     }
 
     // --- Marginalization prior ---
-    cost += prior_.accumulate(keyframes_, eq.v, eq.by);
+    cost += prior_.accumulate(keyframes_, eq.v, eq.by, scratch.prior);
 
     eq.cost = cost;
 }
 
 double
 WindowProblem::evaluateCost() const
+{
+    PriorWork prior_work;
+    return evaluateCost(prior_work);
+}
+
+double
+WindowProblem::evaluateCost(PriorWork &prior_work) const
 {
     // Residuals only. Same fixed chunking and merge order as build(), so
     // the two cost paths agree bit-for-bit at any thread count.
@@ -415,7 +403,7 @@ WindowProblem::evaluateCost() const
         double lr[kKeyframeDof];
         cost += imuCost(preints_[i]->information(), r.data(), lr);
     }
-    cost += prior_.cost(keyframes_);
+    cost += prior_.cost(keyframes_, prior_work);
     return cost;
 }
 

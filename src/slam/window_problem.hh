@@ -113,8 +113,11 @@ struct AssemblyScratch
     common::Arena arena;                   //!< Backs the shard views.
     std::vector<AssemblyShard> shards;
     std::vector<std::uint32_t> tmp_blocks; //!< Support pre-pass buffer.
+    /** Each keyframe's R and R^T, computed once per build. */
+    std::vector<KeyframeRotation> rotations;
     ImuFactorEval imu;                     //!< Reused IMU evaluation.
     linalg::Matrix imu_li, imu_lj;         //!< Lambda J products.
+    PriorWork prior;                       //!< Prior dx and H dx.
 };
 
 /**
@@ -210,8 +213,13 @@ class WindowProblem
 
     /**
      * Evaluates the cost only (used for LM step acceptance): residuals
-     * without Jacobians, bit-identical to build()'s eq.cost.
+     * without Jacobians, bit-identical to build()'s eq.cost. The prior's
+     * deviation goes through prior_work, so a reused one makes the call
+     * free of prior allocations.
      */
+    double evaluateCost(PriorWork &prior_work) const;
+
+    /** Convenience wrapper with transient prior buffers. */
     double evaluateCost() const;
 
     /**

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -241,6 +242,64 @@ TEST_F(TelemetryTest, ShardMergeIsOrderIndependent)
     ASSERT_NE(cw, nullptr);
     ASSERT_NE(cn, nullptr);
     EXPECT_EQ(cw->value, cn->value);
+}
+
+TEST_F(TelemetryTest, HistogramSumIsExactAcrossShards)
+{
+    // 1e16 + 1 is not a double (its ulp is 2), so a running double sum
+    // per shard loses the 1 and the merged sum reads 0. The exact
+    // accumulator keeps it whichever shard each task lands in.
+    for (const std::size_t threads : {1, 2}) {
+        reset();
+        parallel::setThreadCount(threads);
+        Histogram &h = histogram("test.exact_sum");
+        parallel::runTasks(2, [&h](std::size_t task) {
+            if (task == 0) {
+                h.record(1e16);
+                h.record(1.0);
+            } else {
+                h.record(-1e16);
+            }
+        });
+        const auto snap = snapshotMetrics();
+        const auto *v = findHistogram(snap, "test.exact_sum");
+        ASSERT_NE(v, nullptr);
+        EXPECT_EQ(v->count, 3u) << threads << " threads";
+        EXPECT_EQ(v->sum, 1.0) << threads << " threads";
+    }
+}
+
+TEST_F(TelemetryTest, HistogramSumRoundsOnceAndKeepsNonFiniteResults)
+{
+    const auto sumOf = [](const std::string &name,
+                          std::initializer_list<double> samples) {
+        Histogram &h = histogram(name);
+        for (const double v : samples)
+            h.record(v);
+        const auto snap = snapshotMetrics();
+        return findHistogram(snap, name)->sum;
+    };
+    // Round to nearest, ties to even, from the exact total.
+    EXPECT_EQ(sumOf("test.sum.tie", {1.0, 0x1p-53}), 1.0);
+    EXPECT_EQ(sumOf("test.sum.sticky", {1.0, 0x1p-53, 0x1p-80}),
+              1.0 + 0x1p-52);
+    EXPECT_EQ(sumOf("test.sum.odd_tie", {1.0 + 0x1p-52, 0x1p-53}),
+              1.0 + 0x1p-51);
+    EXPECT_EQ(sumOf("test.sum.neg", {-3.5, 1.25, -0x1p-1074}),
+              -2.25);
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    EXPECT_EQ(sumOf("test.sum.subnormal", {tiny, tiny, 3 * tiny}),
+              5 * tiny);
+    const double big = std::numeric_limits<double>::max();
+    EXPECT_EQ(sumOf("test.sum.cancel_big", {big, big, -big}), big);
+    EXPECT_EQ(sumOf("test.sum.overflow", {big, big}),
+              std::numeric_limits<double>::infinity());
+    EXPECT_EQ(sumOf("test.sum.zero", {-0.0, 2.5, -2.5}), 0.0);
+    // Non-finite samples give what a running double sum gives.
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(sumOf("test.sum.pinf", {1.0, inf}), inf);
+    EXPECT_EQ(sumOf("test.sum.ninf", {-inf, 1.0}), -inf);
+    EXPECT_TRUE(std::isnan(sumOf("test.sum.both_inf", {inf, -inf})));
 }
 
 TEST_F(TelemetryTest, ConcurrentCountingUnderThreadPoolIsExact)

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "common/rng.hh"
 #include "linalg/cholesky.hh"
+#include "linalg/simd.hh"
 
 namespace archytas::linalg {
 namespace {
@@ -110,6 +115,70 @@ TEST(DiagonalInverse, ZeroEntryThrows)
 {
     const Matrix d = Matrix::diagonal({1.0, 0.0});
     EXPECT_THROW(diagonalInverse(d), std::runtime_error);
+}
+
+/** Restores the startup backend selection when a test exits. */
+struct BackendGuard
+{
+    simd::Backend saved = simd::activeBackend();
+    ~BackendGuard() { simd::setBackendForTest(saved); }
+};
+
+/**
+ * The factorization as it ran before the batched column dots: one
+ * level-1 dot per sub-diagonal element, on the given backend's table.
+ */
+bool
+choleskyPerElementDots(Matrix &l, const Matrix &s, const simd::Ops &v)
+{
+    const std::size_t n = s.rows();
+    l = Matrix(n, n);
+    for (std::size_t j = 0; j < n; ++j) {
+        double *lj = l.rowPtr(j);
+        const double diag = s(j, j) - v.dot(lj, lj, j);
+        if (diag <= 0.0)
+            return false;
+        const double ljj = std::sqrt(diag);
+        lj[j] = ljj;
+        const double inv_ljj = 1.0 / ljj;
+        for (std::size_t i = j + 1; i < n; ++i) {
+            double *li = l.rowPtr(i);
+            li[j] = (s(i, j) - v.dot(li, lj, j)) * inv_ljj;
+        }
+    }
+    return true;
+}
+
+TEST(Cholesky, BatchedColumnsMatchPerElementDots)
+{
+    const BackendGuard guard;
+    std::vector<simd::Backend> backends{simd::Backend::kScalar};
+    if (simd::avx2Compiled() && simd::avx2Supported())
+        backends.push_back(simd::Backend::kAvx2);
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 40; ++n)
+        sizes.push_back(n);
+    sizes.push_back(150);
+    for (const simd::Backend backend : backends) {
+        simd::setBackendForTest(backend);
+        const simd::Ops &v = simd::opsFor(backend);
+        Rng rng(77);
+        for (const std::size_t n : sizes) {
+            const Matrix spd = randomSpd(n, rng);
+            Matrix want;
+            ASSERT_TRUE(choleskyPerElementDots(want, spd, v));
+            // A reused destination holding stale values must factor to
+            // the same bits as a fresh one.
+            Matrix got(n, n);
+            for (auto &x : got.data())
+                x = rng.uniform(-1, 1);
+            ASSERT_TRUE(choleskyInto(got, spd));
+            EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                  n * n * sizeof(double)),
+                      0)
+                << v.name << " n=" << n;
+        }
+    }
 }
 
 /** Property sweep over sizes: solve then verify to tight tolerance. */

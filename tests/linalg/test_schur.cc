@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "linalg/cholesky.hh"
 #include "linalg/schur.hh"
+#include "linalg/simd.hh"
 
 namespace archytas::linalg {
 namespace {
@@ -293,6 +295,108 @@ TEST(BlockSparseSchur, MatchesDenseElimination)
     // stored per 15-row keyframe block.
     expectMatchesDenseElimination(5, 3, 3, 17, rng);
     expectMatchesDenseElimination(5, 15, 6, 17, rng);
+}
+
+/** Restores the startup backend selection when a test exits. */
+struct BackendGuard
+{
+    simd::Backend saved = simd::activeBackend();
+    ~BackendGuard() { simd::setBackendForTest(saved); }
+};
+
+/**
+ * The elimination as it ran before the batched block pairs: one level-1
+ * axpy per row of every off-diagonal block, on the given table.
+ */
+void
+sparseSchurPerRowAxpys(Matrix &reduced, Vector &rhs, const Vector &bx,
+                       const double *inv_u, std::size_t block_stride,
+                       std::size_t d, const SparseW &w, const simd::Ops &v)
+{
+    const std::size_t m = w.offsets.size() - 1;
+    std::vector<double> wui_f;
+    for (std::size_t f = 0; f < m; ++f) {
+        const std::size_t s0 = w.offsets[f];
+        const std::size_t nb = w.offsets[f + 1] - s0;
+        const double *wf = w.w_blocks.data() + s0 * d;
+        wui_f.assign(nb * d, 0.0);
+        for (std::size_t t = 0; t < nb * d; ++t)
+            wui_f[t] = wf[t] * inv_u[f];
+        for (std::size_t bi = 0; bi < nb; ++bi) {
+            const std::size_t rowi = w.blocks[s0 + bi] * block_stride;
+            const double *wi = wf + bi * d;
+            const double *wui_i = wui_f.data() + bi * d;
+            v.axpy(rhs.data().data() + rowi, -bx[f], wui_i, d);
+            for (std::size_t r = 0; r < d; ++r) {
+                double *rrow = reduced.rowPtr(rowi + r) + rowi;
+                const double s = wui_i[r];
+                for (std::size_t c = r; c < d; ++c) {
+                    const double acc = s * wi[c];
+                    rrow[c] -= acc;
+                    if (c != r)
+                        reduced.rowPtr(rowi + c)[rowi + r] -= acc;
+                }
+            }
+            for (std::size_t bj = bi + 1; bj < nb; ++bj) {
+                const std::size_t rowj = w.blocks[s0 + bj] * block_stride;
+                const double *wj = wf + bj * d;
+                for (std::size_t r = 0; r < d; ++r)
+                    v.axpy(reduced.rowPtr(rowi + r) + rowj, -wui_i[r], wj,
+                           d);
+                for (std::size_t c = 0; c < d; ++c)
+                    v.axpy(reduced.rowPtr(rowj + c) + rowi, -wj[c], wui_i,
+                           d);
+            }
+        }
+    }
+}
+
+TEST(BlockSparseSchur, MatchesPerRowAxpyReference)
+{
+    const BackendGuard guard;
+    std::vector<simd::Backend> backends{simd::Backend::kScalar};
+    if (simd::avx2Compiled() && simd::avx2Supported())
+        backends.push_back(simd::Backend::kAvx2);
+    const std::size_t shapes[][3] = {{5, 3, 3}, {5, 15, 6}, {8, 15, 6}};
+    for (const simd::Backend backend : backends) {
+        simd::setBackendForTest(backend);
+        const simd::Ops &v = simd::opsFor(backend);
+        Rng rng(323);
+        for (const auto &shape : shapes) {
+            const std::size_t n_blocks = shape[0];
+            const std::size_t stride = shape[1];
+            const std::size_t segment = shape[2];
+            const std::size_t nk = n_blocks * stride;
+            const std::size_t m = 23;
+            const SparseW w =
+                randomSparseW(n_blocks, stride, segment, m, rng);
+            Vector bx(m), inv_u(m);
+            for (std::size_t f = 0; f < m; ++f) {
+                bx[f] = rng.uniform(-1.0, 1.0);
+                inv_u[f] = 1.0 / rng.uniform(1.0, 4.0);
+            }
+            Matrix want = randomSpd(nk, rng, static_cast<double>(nk));
+            Vector want_rhs(nk);
+            for (std::size_t i = 0; i < nk; ++i)
+                want_rhs[i] = rng.uniform(-1.0, 1.0);
+            Matrix reduced = want;
+            Vector rhs = want_rhs;
+            sparseSchurPerRowAxpys(want, want_rhs, bx, inv_u.data().data(),
+                                   stride, segment, w, v);
+            common::Arena arena;
+            subtractBlockSparseSchur(reduced, rhs, bx, inv_u.data().data(),
+                                     stride, segment, w.offsets, w.blocks,
+                                     w.w_blocks, arena);
+            for (std::size_t i = 0; i < nk; ++i) {
+                EXPECT_EQ(rhs[i], want_rhs[i])
+                    << v.name << " stride " << stride << " rhs[" << i << "]";
+                for (std::size_t j = 0; j < nk; ++j)
+                    EXPECT_EQ(reduced(i, j), want(i, j))
+                        << v.name << " stride " << stride << " (" << i
+                        << ", " << j << ")";
+            }
+        }
+    }
 }
 
 TEST(BlockSparseSchur, EmptySupportIsANoOp)

@@ -179,6 +179,56 @@ TEST(SimdPrimitives, AxpyElementsIndependentOfSpanLength)
     }
 }
 
+TEST(SimdPrimitives, DotsMatchDotPerRowPerBackend)
+{
+    // Every row of the batched dot is the level-1 dot of that row, bit
+    // for bit: every tail length (n < 20), every row count up to 9 (the
+    // AVX2 version works four rows at a time), strided rows.
+    Rng rng(108);
+    for (const simd::Backend backend : availableBackends()) {
+        const simd::Ops &ops = simd::opsFor(backend);
+        for (std::size_t n = 0; n < 20; ++n)
+            for (std::size_t rows = 0; rows < 10; ++rows) {
+                const std::size_t lda = n + 3;
+                const auto a = randomSpan(rows * lda + 1, rng);
+                const auto b = randomSpan(n + 1, rng);
+                std::vector<double> out(rows + 1, -7.0);
+                ops.dots(out.data(), a.data(), lda, rows, b.data(), n);
+                for (std::size_t r = 0; r < rows; ++r)
+                    EXPECT_EQ(out[r], ops.dot(a.data() + r * lda, b.data(), n))
+                        << ops.name << " n=" << n << " rows=" << rows
+                        << " r=" << r;
+                EXPECT_EQ(out[rows], -7.0) << ops.name << " wrote past";
+            }
+    }
+}
+
+TEST(SimdPrimitives, AxpysMatchAxpyPerRowPerBackend)
+{
+    // Every row of the batched axpy is the level-1 axpy of that row with
+    // its own scale, bit for bit; the gaps between strided rows stay
+    // untouched.
+    Rng rng(109);
+    for (const simd::Backend backend : availableBackends()) {
+        const simd::Ops &ops = simd::opsFor(backend);
+        for (std::size_t n = 0; n < 20; ++n)
+            for (std::size_t rows = 0; rows < 10; ++rows) {
+                const std::size_t ldh = n + 5;
+                const auto x = randomSpan(n, rng);
+                const auto alpha = randomSpan(rows, rng);
+                auto h = randomSpan(rows * ldh + 1, rng);
+                auto want = h;
+                ops.axpys(h.data(), ldh, alpha.data(), rows, x.data(), n);
+                for (std::size_t r = 0; r < rows; ++r)
+                    ops.axpy(want.data() + r * ldh, alpha[r], x.data(), n);
+                for (std::size_t i = 0; i < h.size(); ++i)
+                    EXPECT_EQ(h[i], want[i])
+                        << ops.name << " n=" << n << " rows=" << rows
+                        << " element " << i;
+            }
+    }
+}
+
 TEST(SimdPrimitives, SetBackendForTestInstallsAndReports)
 {
     BackendGuard guard;

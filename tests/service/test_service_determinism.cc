@@ -10,6 +10,7 @@
  * inline on the stepping worker.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -255,6 +256,93 @@ TEST(ServiceDeterminism, SloVerdictsAndFlightRingsMatchAcrossPoolSizes)
 
     telemetry::setEnabled(false);
     telemetry::reset();
+}
+
+/** Host wall-clock metrics (`_ms`) measure the clock, not the run. */
+bool
+isWallClockMetric(const std::string &name)
+{
+    return name.size() >= 3 && name.compare(name.size() - 3, 3, "_ms") == 0;
+}
+
+TEST(ServiceDeterminism, MetricsMatchAcrossPoolSizes)
+{
+    // The telemetry half of the contract (common/telemetry.hh): every
+    // metric but the host `_ms` ones is bit-identical at any pool size.
+    // Counters and histogram buckets merge as integers, and histogram
+    // sums are exact, so which worker stepped which session cannot move
+    // them -- not even session.position_error's sum.
+    PoolSizeGuard guard;
+    const std::vector<SessionConfig> mix = sessionMix();
+
+    const auto runAt = [&](std::size_t threads) {
+        telemetry::reset();
+        telemetry::setEnabled(true);
+        parallel::setThreadCount(threads);
+        ServiceOptions options;
+        options.accelerator_slots = 2;
+        options.max_active_sessions = 4;
+        options.seed = kServiceSeed;
+        LocalizationService svc(options);
+        for (const SessionConfig &cfg : mix)
+            svc.addSession(cfg);
+        (void)svc.run();
+        telemetry::MetricsSnapshot snap = telemetry::snapshotMetrics();
+        telemetry::setEnabled(false);
+        telemetry::reset();
+        return snap;
+    };
+    const telemetry::MetricsSnapshot one = runAt(1);
+    const telemetry::MetricsSnapshot eight = runAt(8);
+
+    ASSERT_EQ(one.counters.size(), eight.counters.size());
+    for (std::size_t i = 0; i < one.counters.size(); ++i) {
+        ASSERT_EQ(one.counters[i].name, eight.counters[i].name);
+        if (isWallClockMetric(one.counters[i].name))
+            continue;
+        EXPECT_EQ(one.counters[i].value, eight.counters[i].value)
+            << one.counters[i].name;
+    }
+    // A gauge keeps its last write. These are written by every session's
+    // own solve, on whichever worker steps it, so at 8 threads they hold
+    // the last session to finish, not the last in session order: only
+    // their presence is compared.
+    const std::vector<std::string> per_session_gauges = {
+        "estimator.final_cost", "estimator.position_error",
+        "runtime.iter", "solver.final_cost"};
+    ASSERT_EQ(one.gauges.size(), eight.gauges.size());
+    for (std::size_t i = 0; i < one.gauges.size(); ++i) {
+        const std::string &name = one.gauges[i].name;
+        ASSERT_EQ(name, eight.gauges[i].name);
+        if (isWallClockMetric(name))
+            continue;
+        EXPECT_EQ(one.gauges[i].written, eight.gauges[i].written) << name;
+        if (std::find(per_session_gauges.begin(), per_session_gauges.end(),
+                      name) != per_session_gauges.end())
+            continue;
+        EXPECT_EQ(bits(one.gauges[i].value), bits(eight.gauges[i].value))
+            << name;
+    }
+    ASSERT_EQ(one.histograms.size(), eight.histograms.size());
+    bool saw_position_error = false;
+    for (std::size_t i = 0; i < one.histograms.size(); ++i) {
+        const telemetry::HistogramValue &a = one.histograms[i];
+        const telemetry::HistogramValue &b = eight.histograms[i];
+        ASSERT_EQ(a.name, b.name);
+        if (isWallClockMetric(a.name))
+            continue;
+        saw_position_error =
+            saw_position_error || a.name == "session.position_error";
+        EXPECT_EQ(a.count, b.count) << a.name;
+        EXPECT_EQ(a.nan_count, b.nan_count) << a.name;
+        EXPECT_EQ(bits(a.sum), bits(b.sum)) << a.name;
+        EXPECT_EQ(bits(a.min), bits(b.min)) << a.name;
+        EXPECT_EQ(bits(a.max), bits(b.max)) << a.name;
+        EXPECT_EQ(a.buckets, b.buckets) << a.name;
+    }
+#if ARCHYTAS_TELEMETRY_ENABLED
+    EXPECT_TRUE(saw_position_error);
+#endif
 }
 
 } // namespace

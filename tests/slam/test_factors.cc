@@ -117,7 +117,9 @@ TEST(VisualFactor, ResidualOnlyMatchesFullEvaluation)
     for (const Case &c : cases) {
         const PerfectScene &sc = c.sc;
         evaluateVisualFactorInto(full, sc.camera, sc.anchor, sc.target,
-                                 sc.bearing, sc.inv_depth, sc.measurement);
+                                 keyframeRotation(sc.anchor),
+                                 keyframeRotation(sc.target), sc.bearing,
+                                 sc.inv_depth, sc.measurement);
         ASSERT_EQ(full.valid, c.valid) << c.what;
         Vec2 res;
         const bool valid =

@@ -43,7 +43,8 @@ TEST(Prior, EmptyPriorIsInert)
     EXPECT_DOUBLE_EQ(prior.cost(states), 0.0);
     linalg::Matrix h(45, 45);
     linalg::Vector b(45);
-    prior.accumulate(states, h, b);
+    PriorWork work;
+    prior.accumulate(states, h, b, work);
     EXPECT_EQ(h.norm(), 0.0);
     EXPECT_EQ(b.norm(), 0.0);
 }
@@ -97,7 +98,8 @@ TEST(Prior, AccumulateMatchesManualGradient)
 
     linalg::Matrix h_out(d, d);
     linalg::Vector b_out(d);
-    prior.accumulate(cur, h_out, b_out);
+    PriorWork work;
+    prior.accumulate(cur, h_out, b_out, work);
 
     EXPECT_LT(h_out.maxAbsDiff(h), 1e-12);
     const linalg::Vector dx = prior.boxMinus(cur);
@@ -116,9 +118,46 @@ TEST(Prior, AccumulateAddsIntoExistingSystem)
     h_out(0, 0) = 7.0;
     linalg::Vector b_out(kKeyframeDof);
     b_out[0] = 3.0;
-    prior.accumulate(lin, h_out, b_out);
+    PriorWork work;
+    prior.accumulate(lin, h_out, b_out, work);
     EXPECT_DOUBLE_EQ(h_out(0, 0), 7.0 + h(0, 0));
     EXPECT_DOUBLE_EQ(b_out[0], 3.0);   // r = 0, dx = 0.
+}
+
+TEST(Prior, ReusedWorkGivesFreshBits)
+{
+    // One PriorWork serves every build and cost evaluation of a solver;
+    // stale contents from another prior or other states must not leak.
+    Rng rng(5);
+    std::vector<KeyframeState> lin{randomState(rng), randomState(rng)};
+    const std::size_t d = 2 * kKeyframeDof;
+    linalg::Vector r(d);
+    for (std::size_t i = 0; i < d; ++i)
+        r[i] = rng.uniform(-1, 1);
+    const PriorFactor prior(randomSpd(d, rng), r, lin);
+    std::vector<KeyframeState> cur = lin;
+    cur[0].pose.p += Vec3{0.03, 0.01, -0.02};
+    cur[1].bias_gyro += Vec3{0.001, 0.0, 0.002};
+
+    PriorWork reused;
+    reused.dx = linalg::Vector(d);
+    reused.hdx = linalg::Vector(d);
+    for (std::size_t i = 0; i < d; ++i) {
+        reused.dx[i] = rng.uniform(-5, 5);
+        reused.hdx[i] = rng.uniform(-5, 5);
+    }
+    EXPECT_EQ(prior.cost(cur, reused), prior.cost(cur));
+
+    linalg::Matrix h_fresh(d, d), h_reused(d, d);
+    linalg::Vector b_fresh(d), b_reused(d);
+    PriorWork fresh;
+    const double c_fresh = prior.accumulate(cur, h_fresh, b_fresh, fresh);
+    const double c_reused =
+        prior.accumulate(cur, h_reused, b_reused, reused);
+    EXPECT_EQ(c_fresh, c_reused);
+    EXPECT_EQ(c_fresh, prior.cost(cur));
+    for (std::size_t i = 0; i < d; ++i)
+        EXPECT_EQ(b_fresh[i], b_reused[i]) << i;
 }
 
 TEST(Prior, DimensionMismatchDies)

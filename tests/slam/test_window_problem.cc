@@ -6,8 +6,8 @@
 
 #include "common/rng.hh"
 #include "linalg/cholesky.hh"
-#include "linalg/kernels.hh"
 #include "linalg/schur.hh"
+#include "linalg/simd.hh"
 #include "slam/lm_solver.hh"
 #include "slam/window_problem.hh"
 
@@ -226,19 +226,35 @@ TEST(WindowProblem, SupportSegmentsSumEachObservationInOrder)
     for (std::size_t f = 0; f < w.features.size(); f += 3)
         w.features[f].anchor_index = 2;
     const double sigma = 2.0;
-    WindowProblem problem(w.camera, w.keyframes, w.features, w.preints,
+    // Null preintegrations and no prior: V, by and the cost then hold
+    // the visual factors alone. 25 features make one assembly chunk, so
+    // the shard merge adds each of those sums to zero exactly once.
+    const std::vector<std::shared_ptr<ImuPreintegration>> no_imu(
+        w.keyframes.size() - 1);
+    ASSERT_TRUE(w.prior.empty());
+    WindowProblem problem(w.camera, w.keyframes, w.features, no_imu,
                           w.prior, sigma);
     NormalEquations eq;
     AssemblyScratch scratch;
     problem.build(eq, scratch, BuildMode::kSolve);
     ASSERT_TRUE(eq.hasSupport());
 
-    // Recompute every segment from the factor Jacobians: feature f's
-    // support is its anchor plus its observed keyframes, and each
-    // informative observation adds wt J_pose^T j_depth to the anchor's
-    // and the target's segment, in observation order.
+    // Reference, recomputed from the factor Jacobians with the level-1
+    // primitives: feature f's support is its anchor plus its observed
+    // keyframes, and each informative observation, in feature and
+    // observation order, adds
+    //  - 0.5 wt |r|^2 to the cost, wt |j_depth|^2 to u_diag[f] and
+    //    -wt j_depth^T r to bx[f];
+    //  - wt J_pose^T j_depth to its anchor's and its target's W segment,
+    //    entry by entry;
+    //  - wt J_p^T J_q to V's four pose blocks, one axpy per residual row
+    //    and block row, and -wt J_p^T r to by, one axpy per residual row.
+    const linalg::simd::Ops &ops = linalg::simd::ops();
     const double wt = 1.0 / (sigma * sigma);
-    VisualFactorEval ev;
+    const std::size_t nk = problem.keyframeDim();
+    linalg::Matrix v_ref(nk, nk);
+    std::vector<double> by_ref(nk, 0.0);
+    double cost_ref = 0.0;
     for (std::size_t f = 0; f < w.features.size(); ++f) {
         const Feature &feat = w.features[f];
         std::vector<std::uint32_t> support{
@@ -260,31 +276,65 @@ TEST(WindowProblem, SupportSegmentsSumEachObservationInOrder)
         const auto segment = [&](std::size_t blk) {
             const auto it =
                 std::find(support.begin(), support.end(), blk);
-            return linalg::MatrixView(
-                expect.data() + (it - support.begin()) * kPoseDof,
-                kPoseDof, 1);
+            return expect.data() + (it - support.begin()) * kPoseDof;
         };
+        double u_ref = 0.0;
+        double bx_ref = 0.0;
         for (const auto &obs : feat.observations) {
             if (obs.keyframe_index == feat.anchor_index)
                 continue;
-            evaluateVisualFactorInto(
-                ev, w.camera, w.keyframes[feat.anchor_index].pose,
+            const VisualFactorEval ev = evaluateVisualFactor(
+                w.camera, w.keyframes[feat.anchor_index].pose,
                 w.keyframes[obs.keyframe_index].pose, feat.anchor_bearing,
                 feat.inverse_depth, obs.pixel);
             if (!ev.valid)
                 continue;
-            linalg::MatrixView anchor = segment(feat.anchor_index);
-            linalg::MatrixView target = segment(obs.keyframe_index);
-            linalg::addOuterProductTransposed(anchor, 0, 0, ev.j_anchor,
-                                              ev.j_depth, wt);
-            linalg::addOuterProductTransposed(target, 0, 0, ev.j_target,
-                                              ev.j_depth, wt);
+            const double res[2] = {ev.residual.u, ev.residual.v};
+            const double jd0 = ev.j_depth(0, 0);
+            const double jd1 = ev.j_depth(1, 0);
+            cost_ref += 0.5 * wt * (res[0] * res[0] + res[1] * res[1]);
+            u_ref += wt * (jd0 * jd0 + jd1 * jd1);
+            bx_ref -= wt * (jd0 * res[0] + jd1 * res[1]);
+
+            const FixedMatrix<2, 6> *jac[2] = {&ev.j_anchor, &ev.j_target};
+            const std::size_t blk[2] = {feat.anchor_index,
+                                        obs.keyframe_index};
+            for (std::size_t p = 0; p < 2; ++p) {
+                double *seg = segment(blk[p]);
+                for (std::size_t i = 0; i < kPoseDof; ++i) {
+                    double acc = 0.0;
+                    for (std::size_t k = 0; k < 2; ++k)
+                        acc += (*jac[p])(k, i) * ev.j_depth(k, 0);
+                    seg[i] += wt * acc;
+                }
+            }
+            for (std::size_t p = 0; p < 2; ++p)
+                for (std::size_t q = 0; q < 2; ++q)
+                    for (std::size_t k = 0; k < 2; ++k)
+                        for (std::size_t i = 0; i < kPoseDof; ++i)
+                            ops.axpy(v_ref.rowPtr(blk[p] * kKeyframeDof + i) +
+                                         blk[q] * kKeyframeDof,
+                                     wt * (*jac[p])(k, i), jac[q]->row(k),
+                                     kPoseDof);
+            for (std::size_t p = 0; p < 2; ++p)
+                for (std::size_t k = 0; k < 2; ++k)
+                    ops.axpy(by_ref.data() + blk[p] * kKeyframeDof,
+                             -(wt * res[k]), jac[p]->row(k), kPoseDof);
         }
+        EXPECT_EQ(eq.u_diag[f], u_ref) << "feature " << f;
+        EXPECT_EQ(eq.bx[f], bx_ref) << "feature " << f;
         for (std::size_t t = 0; t < expect.size(); ++t)
             EXPECT_EQ(eq.w_blocks[s0 * kPoseDof + t], expect[t])
                 << "feature " << f << " block "
                 << support[t / kPoseDof] << " row " << t % kPoseDof;
     }
+    for (std::size_t r = 0; r < nk; ++r) {
+        for (std::size_t c = 0; c < nk; ++c)
+            EXPECT_EQ(eq.v(r, c), v_ref(r, c)) << "V(" << r << ", " << c
+                                               << ")";
+        EXPECT_EQ(eq.by[r], by_ref[r]) << "by[" << r << "]";
+    }
+    EXPECT_EQ(eq.cost, cost_ref);
 }
 
 TEST(WindowProblem, FullySupportedWindowMatchesDenseElimination)
