@@ -129,20 +129,34 @@ choleskySolve(const Matrix &s, const Vector &b)
 Matrix
 choleskyInverse(const Matrix &s)
 {
+    Matrix inv;
+    CholeskyInverseWork work;
+    choleskyInverseInto(inv, s, work);
+    return inv;
+}
+
+void
+choleskyInverseInto(Matrix &inv, const Matrix &s, CholeskyInverseWork &work)
+{
     ARCHYTAS_CHECK_DIM("choleskyInverse: square input", s.cols(), s.rows());
-    auto l = cholesky(s);
-    if (!l)
+    ARCHYTAS_DCHECK(&inv != &s, "choleskyInverseInto: inv aliases s");
+    if (!choleskyInto(work.l, s))
         ARCHYTAS_FATAL("choleskyInverse: matrix is not positive definite");
     const std::size_t n = s.rows();
-    Matrix inv(n, n);
+    if (inv.rows() != n || inv.cols() != n)
+        inv = Matrix(n, n);
+    if (work.unit.size() != n)
+        work.unit = Vector(n);
+    work.unit.setZero();
+    // Column c solves L L^T x = e_c; every entry of inv is written.
     for (std::size_t c = 0; c < n; ++c) {
-        Vector e(n);
-        e[c] = 1.0;
-        const Vector col = backwardSubstitute(*l, forwardSubstitute(*l, e));
+        work.unit[c] = 1.0;
+        forwardSubstituteInto(work.y, work.l, work.unit);
+        backwardSubstituteInto(work.x, work.l, work.y);
+        work.unit[c] = 0.0;
         for (std::size_t r = 0; r < n; ++r)
-            inv(r, c) = col[r];
+            inv(r, c) = work.x[r];
     }
-    return inv;
 }
 
 Matrix
@@ -150,14 +164,26 @@ diagonalInverse(const Matrix &d)
 {
     ARCHYTAS_CHECK_DIM("diagonalInverse: square matrix required", d.cols(),
                        d.rows());
-    const std::size_t n = d.rows();
-    Matrix inv(n, n);
+    Matrix inv;
+    diagonalInverseInto(inv, d, d.rows());
+    return inv;
+}
+
+void
+diagonalInverseInto(Matrix &inv, const Matrix &d, std::size_t n)
+{
+    ARCHYTAS_DCHECK(n <= d.rows() && n <= d.cols(), "diagonalInverse: ",
+                    n, " x ", n, " block of a ", d.rows(), " x ", d.cols(),
+                    " matrix");
+    if (inv.rows() != n || inv.cols() != n)
+        inv = Matrix(n, n);
+    else
+        inv.setZero();
     for (std::size_t i = 0; i < n; ++i) {
         if (d(i, i) == 0.0)
             ARCHYTAS_FATAL("diagonalInverse: zero diagonal entry at ", i);
         inv(i, i) = 1.0 / d(i, i);
     }
-    return inv;
 }
 
 } // namespace archytas::linalg

@@ -58,11 +58,31 @@ Vector choleskySolve(const Matrix &s, const Vector &b);
 /** Inverse of an SPD matrix via Cholesky. */
 Matrix choleskyInverse(const Matrix &s);
 
+/** Reusable buffers of choleskyInverseInto. */
+struct CholeskyInverseWork
+{
+    Matrix l;          //!< The Cholesky factor.
+    Vector unit, y, x; //!< Unit column, forward and backward solves.
+};
+
+/**
+ * As choleskyInverse, into inv with work's buffers: the same bits, and
+ * no allocation once inv and work have the shape. inv must not alias s.
+ */
+void choleskyInverseInto(Matrix &inv, const Matrix &s,
+                         CholeskyInverseWork &work);
+
 /**
  * Inverse of a diagonal matrix: the DMatInv primitive node. Fatal when a
  * diagonal entry is zero.
  */
 Matrix diagonalInverse(const Matrix &d);
+
+/**
+ * As diagonalInverse of d's leading n x n block (only its diagonal is
+ * read), into inv's storage: no allocation once inv is n x n.
+ */
+void diagonalInverseInto(Matrix &inv, const Matrix &d, std::size_t n);
 
 } // namespace archytas::linalg
 

@@ -28,9 +28,10 @@ resizeMatrix(Matrix &out, std::size_t rows, std::size_t cols)
 constexpr std::size_t kParallelFlopThreshold = 64 * 1024;
 
 /**
- * Rows per batched-primitive call when a kernel needs a small stack
- * buffer of per-row scales or results. The batch bounds stack use only:
- * every row's arithmetic is the same at any batch size.
+ * Rows (and rank-k terms) per batched-primitive call when a kernel needs
+ * a small stack buffer of per-row scales or results. The batch bounds
+ * stack use only: every row's arithmetic, and every element's term
+ * order, is the same at any batch size.
  */
 constexpr std::size_t kRowBatch = 16;
 
@@ -42,18 +43,28 @@ addOuterProductTransposedImpl(Dst &h, std::size_t r0, std::size_t c0,
     const std::size_t ac = a.cols();
     const std::size_t bc = b.cols();
     const simd::Ops &v = simd::ops();
-    // Rank-1 per residual row: h_block(i, :) += (wt a(k, i)) b(k, :)
-    // streams contiguous rows of b and h, one axpys over the block's
-    // rows per residual row.
-    double alpha[kRowBatch];
-    for (std::size_t k = 0; k < a.rows(); ++k) {
-        const double *arow = a.rowPtr(k);
-        const double *brow = b.rowPtr(k);
+    // Rank-k form: block row i takes (wt a(k, i)) b(k, :) for each
+    // residual row k in order, so one rankUpdate over up to kRowBatch
+    // residual rows writes each element's k terms in a register tile
+    // (one call per 15 x 15 IMU block).
+    double alpha[kRowBatch][kRowBatch];
+    const double *alpha_rows[kRowBatch];
+    const double *b_rows[kRowBatch];
+    for (std::size_t k0 = 0; k0 < a.rows(); k0 += kRowBatch) {
+        const std::size_t nk = std::min(kRowBatch, a.rows() - k0);
+        for (std::size_t t = 0; t < nk; ++t) {
+            alpha_rows[t] = alpha[t];
+            b_rows[t] = b.rowPtr(k0 + t);
+        }
         for (std::size_t i0 = 0; i0 < ac; i0 += kRowBatch) {
             const std::size_t nr = std::min(kRowBatch, ac - i0);
-            for (std::size_t i = 0; i < nr; ++i)
-                alpha[i] = wt * arow[i0 + i];
-            v.axpys(h.rowPtr(r0 + i0) + c0, h.cols(), alpha, nr, brow, bc);
+            for (std::size_t t = 0; t < nk; ++t) {
+                const double *arow = a.rowPtr(k0 + t) + i0;
+                for (std::size_t i = 0; i < nr; ++i)
+                    alpha[t][i] = wt * arow[i];
+            }
+            v.rankUpdate(h.rowPtr(r0 + i0) + c0, h.cols(), alpha_rows,
+                         b_rows, nk, nr, bc);
         }
     }
 }
@@ -139,14 +150,22 @@ subtractSymmetricProduct(Matrix &c, const Matrix &a, const Matrix &b)
     const auto rowUpdate = [&](std::size_t i) {
         // Upper triangle of row i plus the mirrored subtraction; the
         // mirror element c(j, i) is written only by the task owning row
-        // i, so tasks write disjoint elements.
+        // i, so tasks write disjoint elements. Row i's dots come from
+        // one batched dots per kRowBatch rows of b: dot(b_j, a_i) is
+        // dot(a_i, b_j) bit for bit, because every product and fused
+        // multiply-add is commutative in its two factors.
         const double *ai = a.rowPtr(i);
         double *ci = c.rowPtr(i);
-        for (std::size_t j = i; j < n; ++j) {
-            const double acc = v.dot(ai, b.rowPtr(j), k);
-            ci[j] -= acc;
-            if (j != i)
-                c.rowPtr(j)[i] -= acc;
+        double acc[kRowBatch];
+        for (std::size_t j0 = i; j0 < n; j0 += kRowBatch) {
+            const std::size_t nr = std::min(kRowBatch, n - j0);
+            v.dots(acc, b.rowPtr(j0), k, nr, ai, k);
+            for (std::size_t jj = 0; jj < nr; ++jj) {
+                const std::size_t j = j0 + jj;
+                ci[j] -= acc[jj];
+                if (j != i)
+                    c.rowPtr(j)[i] -= acc[jj];
+            }
         }
     };
     // Half the n^2 k multiply-adds of the full product.

@@ -15,7 +15,9 @@
  * Inner loops run on the simd::ops() primitive table (linalg/simd.hh):
  * scalar or AVX2/FMA, selected once at startup. Results are bit-identical
  * at any thread count within a backend; across backends they agree to
- * rounding tolerance only.
+ * rounding tolerance only. Each kernel keeps every element's operands,
+ * term order and rounding when it routes a loop through a batched
+ * primitive, so the batching moves no result.
  */
 
 #ifndef ARCHYTAS_LINALG_KERNELS_HH
@@ -38,8 +40,10 @@ void subtractMultiply(Vector &out, const Matrix &a, const Vector &x);
  * Symmetric rank-k update: c -= a b^T where the algebra guarantees
  * a b^T is symmetric (e.g. a = W U^{-1}, b = W with U symmetric).
  * Computes the upper triangle only and mirrors the subtraction into the
- * lower one -- half the FLOPs of the general product. a and b are
- * n x k; c is n x n and must not alias a or b.
+ * lower one -- half the FLOPs of the general product. Row i's dots
+ * against rows j >= i of b come from batched simd dots (each is
+ * dot(a_i, b_j) bit for bit). a and b are n x k; c is n x n and must
+ * not alias a or b.
  */
 void subtractSymmetricProduct(Matrix &c, const Matrix &a, const Matrix &b);
 
@@ -47,7 +51,9 @@ void subtractSymmetricProduct(Matrix &c, const Matrix &a, const Matrix &b);
  * Gram-type block accumulation: h[r0+i, c0+j] += wt * (a^T b)(i, j).
  * a and b share their row count (the residual dimension); the block
  * written is a.cols() x b.cols(). This is the per-factor H update of
- * the normal-equation assembly.
+ * the normal-equation assembly: one simd rankUpdate per block (up to 16
+ * residual rows and 16 block rows per call), each element taking
+ * (wt a(k, i)) b(k, j) for the residual rows k in order.
  */
 void addOuterProductTransposed(Matrix &h, std::size_t r0, std::size_t c0,
                                const Matrix &a, const Matrix &b, double wt);

@@ -87,84 +87,151 @@ subtractBlockSparseSchur(Matrix &reduced, Vector &rhs, const Vector &bx,
     if (m == 0)
         return;
 
-    // One scratch buffer sized for the widest feature's scaled columns.
-    std::size_t max_blocks = 0;
-    for (std::size_t f = 0; f < m; ++f)
-        max_blocks = std::max<std::size_t>(
-            max_blocks, support_offsets[f + 1] - support_offsets[f]);
+    // Element (r, c) of block (i, j) takes one term from each feature
+    // whose support holds both blocks, and the per-feature elimination
+    // added those terms in ascending feature order. Regrouping the work
+    // by block pair keeps that order: each pair lists its features'
+    // (segment i, segment j) in feature order, and its block is written
+    // with one rank-k call. Every list, and every scaled segment, is
+    // rewritten from the inputs on each call.
+    std::size_t nblk = 0;
+    for (const std::uint32_t blk : support_blocks)
+        nblk = std::max<std::size_t>(nblk, blk + 1);
+    const std::size_t ns = support_blocks.size();
     arena.reset();
-    double *wui_f = arena.allocateArray<double>(max_blocks * d);
-    // Negated copies of the scaled and the plain segments: the per-row
-    // scales of the off-diagonal axpys. Negation is exact, so negating
-    // once per feature gives every row the bits of negating per row.
-    double *neg_wui_f = arena.allocateArray<double>(max_blocks * d);
-    double *neg_wf = arena.allocateArray<double>(max_blocks * d);
+    // Pair (i, j), i <= j, is entry i * nblk + j; (i, i) lists block i's
+    // segments. Counted first, then filled through running cursors.
+    std::size_t *start = arena.allocateArray<std::size_t>(nblk * nblk + 1);
+    std::fill(start, start + nblk * nblk + 1, std::size_t{0});
+    std::uint32_t *seg_feature = arena.allocateArray<std::uint32_t>(ns);
+    for (std::size_t f = 0; f < m; ++f) {
+        const std::size_t s0 = support_offsets[f];
+        const std::size_t s1 = support_offsets[f + 1];
+        for (std::size_t si = s0; si < s1; ++si) {
+            const std::size_t bi = support_blocks[si];
+            ARCHYTAS_DCHECK(si == s0 || bi > support_blocks[si - 1],
+                            "sparse Schur: support blocks of feature ", f,
+                            " not sorted unique");
+            ARCHYTAS_DCHECK(bi * block_stride + d <= reduced.rows(),
+                            "sparse Schur: block row ", bi * block_stride,
+                            " out of range for ", reduced.rows());
+            seg_feature[si] = static_cast<std::uint32_t>(f);
+            for (std::size_t sj = si; sj < s1; ++sj)
+                ++start[bi * nblk + support_blocks[sj] + 1];
+        }
+    }
+    std::size_t max_k = 0;
+    for (std::size_t p = 0; p < nblk * nblk; ++p) {
+        max_k = std::max(max_k, start[p + 1]);
+        start[p + 1] += start[p];
+    }
+
+    // Each pair entry names its block i and block j support entries.
+    std::uint32_t *seg_i =
+        arena.allocateArray<std::uint32_t>(start[nblk * nblk]);
+    std::uint32_t *seg_j =
+        arena.allocateArray<std::uint32_t>(start[nblk * nblk]);
+    std::size_t *cursor = arena.allocateArray<std::size_t>(nblk * nblk);
+    std::copy(start, start + nblk * nblk, cursor);
+    for (std::size_t f = 0; f < m; ++f) {
+        const std::size_t s1 = support_offsets[f + 1];
+        for (std::size_t si = support_offsets[f]; si < s1; ++si) {
+            const std::size_t row = support_blocks[si] * nblk;
+            for (std::size_t sj = si; sj < s1; ++sj) {
+                const std::size_t e = cursor[row + support_blocks[sj]]++;
+                seg_i[e] = static_cast<std::uint32_t>(si);
+                seg_j[e] = static_cast<std::uint32_t>(sj);
+            }
+        }
+    }
+
+    // Scaled segments -W U^{-1}, one per support entry. Signs move
+    // exactly between factors, (-a) b = a (-b) = -(a b), and h - p is
+    // h + (-p), so the negated scaled segment serves every product: the
+    // block (i, j) rows scale w_j by it, its mirror scales it by w_j,
+    // the rhs scales it by bx, and the diagonal adds its product with w.
+    double *nwui = arena.allocateArray<double>(ns * d);
+    for (std::size_t f = 0; f < m; ++f) {
+        const double iu = inv_u[f];
+        for (std::size_t t = support_offsets[f] * d;
+             t < support_offsets[f + 1] * d; ++t)
+            nwui[t] = -(w_blocks[t] * iu);
+    }
+
+    // One pair's operand lists, rewritten before each pair's calls: the
+    // scaled segments of block i, the plain segments of block j, and the
+    // features' bx (read for the diagonal pairs).
+    const double **lhs = arena.allocateArray<const double *>(max_k);
+    const double **rhs_seg = arena.allocateArray<const double *>(max_k);
+    const double **bxf = arena.allocateArray<const double *>(max_k);
+    const auto listPair = [&](std::size_t p) {
+        const std::size_t k = start[p + 1] - start[p];
+        for (std::size_t t = 0; t < k; ++t) {
+            const std::size_t e = start[p] + t;
+            lhs[t] = nwui + seg_i[e] * d;
+            rhs_seg[t] = w_blocks.data() + seg_j[e] * d;
+            bxf[t] = bx.data().data() + seg_feature[seg_i[e]];
+        }
+        return k;
+    };
 
     const simd::Ops &v = simd::ops();
     const std::size_t ld = reduced.cols();
     double *rhsd = rhs.data().data();
-    for (std::size_t f = 0; f < m; ++f) {
-        const std::size_t s0 = support_offsets[f];
-        const std::size_t nb = support_offsets[f + 1] - s0;
-        const double *wf = w_blocks.data() + s0 * d;
-        const double iu = inv_u[f];
-        const double bxf = bx[f];
-        for (std::size_t t = 0; t < nb * d; ++t) {
-            wui_f[t] = wf[t] * iu;
-            neg_wui_f[t] = -wui_f[t];
-            neg_wf[t] = -wf[t];
+    double *tile = arena.allocateArray<double>(d * d);
+    for (std::size_t bi = 0; bi < nblk; ++bi) {
+        const std::size_t k_diag = listPair(bi * nblk + bi);
+        if (k_diag == 0)
+            continue; // No feature touches block bi, nor any pair of it.
+        const std::size_t rowi = bi * block_stride;
+
+        // rhs -= W U^{-1} bx: block bi's segment takes bx_f (-W U^{-1})
+        // from each of its features in order.
+        v.rankUpdate(rhsd + rowi, d, bxf, lhs, k_diag, 1, d);
+
+        // Diagonal block on a local tile: each feature's upper-triangle
+        // product, added with its exact mirror (scalar multiply, then
+        // add, as this translation unit always compiles).
+        for (std::size_t r = 0; r < d; ++r) {
+            const double *src = reduced.rowPtr(rowi + r) + rowi;
+            std::copy(src, src + d, tile + r * d);
         }
-        for (std::size_t bi = 0; bi < nb; ++bi) {
-            const std::size_t rowi = support_blocks[s0 + bi] * block_stride;
-            ARCHYTAS_DCHECK(bi == 0 || support_blocks[s0 + bi] >
-                                           support_blocks[s0 + bi - 1],
-                            "sparse Schur: support blocks of feature ", f,
-                            " not sorted unique");
-            ARCHYTAS_DCHECK(rowi + d <= reduced.rows(),
-                            "sparse Schur: block row ", rowi,
-                            " out of range for ", reduced.rows());
-            const double *wi = wf + bi * d;
-            const double *wui_i = wui_f + bi * d;
-
-            // rhs -= W U^{-1} bx, one block segment at a time.
-            v.axpy(rhsd + rowi, -bxf, wui_i, d);
-
-            // Diagonal block: upper triangle plus an exact mirror.
+        for (std::size_t t = 0; t < k_diag; ++t) {
+            const double *a = lhs[t];
+            const double *w = rhs_seg[t];
             for (std::size_t r = 0; r < d; ++r) {
-                double *rrow = reduced.rowPtr(rowi + r) + rowi;
-                const double s = wui_i[r];
+                const double s = a[r];
                 for (std::size_t c = r; c < d; ++c) {
-                    const double acc = s * wi[c];
-                    rrow[c] -= acc;
+                    const double acc = s * w[c];
+                    tile[r * d + c] += acc;
                     if (c != r)
-                        reduced.rowPtr(rowi + c)[rowi + r] -= acc;
+                        tile[c * d + r] += acc;
                 }
             }
+        }
+        for (std::size_t r = 0; r < d; ++r)
+            std::copy(tile + r * d, tile + r * d + d,
+                      reduced.rowPtr(rowi + r) + rowi);
 
-            // Off-diagonal block pairs, one axpys per block: row r of
-            // block (i, j) adds -wui_i[r] wj, row c of its mirror adds
-            // -wj[c] wui_i. The mirror uses the commuted product
-            // wj[c] * wui_i[r] == wui_i[r] * wj[c], so the reduced
-            // matrix stays exactly symmetric.
-            for (std::size_t bj = bi + 1; bj < nb; ++bj) {
-                const std::size_t rowj =
-                    support_blocks[s0 + bj] * block_stride;
-                ARCHYTAS_DCHECK(rowj + d <= reduced.rows(),
-                                "sparse Schur: block row ", rowj,
-                                " out of range for ", reduced.rows());
-                const double *wj = wf + bj * d;
-                v.axpys(reduced.rowPtr(rowi) + rowj, ld, neg_wui_f + bi * d,
-                        d, wj, d);
-                v.axpys(reduced.rowPtr(rowj) + rowi, ld, neg_wf + bj * d, d,
-                        wui_i, d);
-            }
+        // Off-diagonal pairs: block (i, j) row r adds (-W U^{-1})_i[r]
+        // w_j, its mirror row c adds w_j[c] (-W U^{-1})_i, the commuted
+        // product, so the reduced matrix stays exactly symmetric.
+        for (std::size_t bj = bi + 1; bj < nblk; ++bj) {
+            const std::size_t k = listPair(bi * nblk + bj);
+            if (k == 0)
+                continue;
+            const std::size_t rowj = bj * block_stride;
+            v.rankUpdate(reduced.rowPtr(rowi) + rowj, ld, lhs, rhs_seg, k,
+                         d, d);
+            v.rankUpdate(reduced.rowPtr(rowj) + rowi, ld, rhs_seg, lhs, k,
+                         d, d);
         }
     }
 }
 
-MSchurResult
-mSchur(const Matrix &m, const Matrix &lambda, const Matrix &a,
-       const Vector &bm, const Vector &br, std::size_t diag_m11)
+void
+subtractMSchur(Matrix &a, Vector &br, const Matrix &m, const Matrix &lambda,
+               const Vector &bm, std::size_t diag_m11, MSchurWork &work)
 {
     const std::size_t pm = m.rows();
     const std::size_t pr = a.rows();
@@ -175,65 +242,81 @@ mSchur(const Matrix &m, const Matrix &lambda, const Matrix &a,
     ARCHYTAS_CHECK_DIM("mSchur: bm size", bm.size(), pm);
     ARCHYTAS_CHECK_DIM("mSchur: br size", br.size(), pr);
 
-    const Matrix minv = diag_m11 > 0 ? blockedInverseDiagonalM11(m, diag_m11)
-                                     : choleskyInverse(m);
-    Matrix lm;
-    multiplyInto(lm, lambda, minv);
-    MSchurResult out;
+    if (diag_m11 > 0)
+        blockedInverseDiagonalM11(work.minv, m, diag_m11, work);
+    else
+        choleskyInverseInto(work.minv, m, work.chol);
+    multiplyInto(work.lm, lambda, work.minv);
     // (Lambda M^{-1}) Lambda^T is symmetric (M^{-1} is): one triangle,
     // mirrored, no Lambda^T temporary.
-    out.prior = a;
-    subtractSymmetricProduct(out.prior, lm, lambda);
-    out.priorRhs = br;
-    subtractMultiply(out.priorRhs, lm, bm);
-    return out;
+    subtractSymmetricProduct(a, work.lm, lambda);
+    subtractMultiply(br, work.lm, bm);
 }
 
-Matrix
-blockedInverseDiagonalM11(const Matrix &m, std::size_t p)
+namespace {
+
+/** dst = src's [r0, r0 + rows) x [c0, c0 + cols) block, reusing dst. */
+void
+copyBlock(Matrix &dst, const Matrix &src, std::size_t r0, std::size_t c0,
+          std::size_t rows, std::size_t cols)
+{
+    if (dst.rows() != rows || dst.cols() != cols)
+        dst = Matrix(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const double *s = src.rowPtr(r0 + r) + c0;
+        std::copy(s, s + cols, dst.rowPtr(r));
+    }
+}
+
+} // namespace
+
+void
+blockedInverseDiagonalM11(Matrix &inv, const Matrix &m, std::size_t p,
+                          MSchurWork &work)
 {
     const std::size_t n = m.rows();
     ARCHYTAS_CHECK_DIM("blockedInverse: square matrix required", m.cols(), n);
     ARCHYTAS_DCHECK(p > 0 && p <= n, "blockedInverse: bad split ", p,
                     " for dimension ", n);
+    ARCHYTAS_DCHECK(&inv != &m, "blockedInverse: inv aliases m");
     const std::size_t q = n - p;
-    if (q == 0)
-        return diagonalInverse(m);
+    if (q == 0) {
+        diagonalInverseInto(inv, m, n);
+        return;
+    }
 
-    const Matrix m11 = m.block(0, 0, p, p);
-    const Matrix m12 = m.block(0, p, p, q);
-    const Matrix m21 = m.block(p, 0, q, p);
-    const Matrix m22 = m.block(p, p, q, q);
+    diagonalInverseInto(work.m11_inv, m, p);
+    const Matrix &m11_inv = work.m11_inv;
+    copyBlock(work.m12, m, 0, p, p, q);
+    copyBlock(work.m21, m, p, 0, q, p);
+    copyBlock(work.m22, m, p, p, q, q);
 
-    const Matrix m11_inv = diagonalInverse(m11);
     // S' = M22 - M21 M11^{-1} M12 is itself a D-type Schur complement.
-    Matrix t;                      // M11^{-1} M12 (p x q)
-    multiplyInto(t, m11_inv, m12);
-    Matrix sprime;
-    multiplyInto(sprime, m21, t);  // M21 (M11^{-1} M12)
-    sprime *= -1.0;
-    sprime += m22;
-    const Matrix sprime_inv = choleskyInverse(sprime);
+    multiplyInto(work.t, m11_inv, work.m12);      // M11^{-1} M12 (p x q)
+    multiplyInto(work.sprime, work.m21, work.t);  // M21 (M11^{-1} M12)
+    work.sprime *= -1.0;
+    work.sprime += work.m22;
+    choleskyInverseInto(work.sprime_inv, work.sprime, work.chol);
 
     // Eq. 5 of the paper, assembled with destination-passing products.
-    Matrix m21_m11inv;             // M21 M11^{-1} (q x p)
-    multiplyInto(m21_m11inv, m21, m11_inv);
-    Matrix bl;                     // S'^{-1} M21 M11^{-1} (q x p)
-    multiplyInto(bl, sprime_inv, m21_m11inv);
-    Matrix t_sprime_inv;           // M11^{-1} M12 S'^{-1} (p x q)
-    multiplyInto(t_sprime_inv, t, sprime_inv);
-    Matrix tl;                     // t S'^{-1} (M21 M11^{-1}) (p x p)
-    multiplyInto(tl, t_sprime_inv, m21_m11inv);
-    tl += m11_inv;
+    multiplyInto(work.m21_m11inv, work.m21, m11_inv); // M21 M11^{-1}
+    multiplyInto(work.bl, work.sprime_inv,
+                 work.m21_m11inv);                 // S'^{-1} M21 M11^{-1}
+    multiplyInto(work.t_sprime_inv, work.t,
+                 work.sprime_inv);                 // M11^{-1} M12 S'^{-1}
+    multiplyInto(work.tl, work.t_sprime_inv,
+                 work.m21_m11inv);                 // t S'^{-1} M21 M11^{-1}
+    work.tl += m11_inv;
 
-    Matrix inv(n, n);
-    inv.setBlock(0, 0, tl);
-    t_sprime_inv *= -1.0;
-    inv.setBlock(0, p, t_sprime_inv);
-    bl *= -1.0;
-    inv.setBlock(p, 0, bl);
-    inv.setBlock(p, p, sprime_inv);
-    return inv;
+    // The four blocks cover inv, so every entry is written.
+    if (inv.rows() != n || inv.cols() != n)
+        inv = Matrix(n, n);
+    inv.setBlock(0, 0, work.tl);
+    work.t_sprime_inv *= -1.0;
+    inv.setBlock(0, p, work.t_sprime_inv);
+    work.bl *= -1.0;
+    inv.setBlock(p, 0, work.bl);
+    inv.setBlock(p, p, work.sprime_inv);
 }
 
 } // namespace archytas::linalg

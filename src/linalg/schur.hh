@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/arena.hh"
+#include "linalg/cholesky.hh"
 #include "linalg/matrix.hh"
 
 namespace archytas::linalg {
@@ -57,11 +58,16 @@ Vector dSchurBackSubstitute(const Matrix &u, const Matrix &w,
  * [support_offsets[f], support_offsets[f+1]), each sitting at row
  * support_blocks[s] * block_stride; the other block_stride - segment
  * rows of every block are zero and are skipped. Block indices must be
- * sorted and unique per feature. Features are processed serially in a
- * fixed order, so the result is deterministic at any thread count, and
- * each block pair is written with the commuted product of its mirror,
- * so the subtraction stays exactly symmetric. The arena provides the
- * single per-call scaled-column scratch (no heap traffic).
+ * sorted and unique per feature. The work runs per keyframe block pair:
+ * each pair lists the features whose support holds both blocks,
+ * ascending, and takes their terms through one simd rankUpdate (the
+ * diagonal blocks on a local tile), so every element adds its terms in
+ * ascending feature order, exactly as a feature-by-feature elimination
+ * does, and the result is deterministic at any thread count. Each block
+ * pair is written with the commuted product of its mirror, so the
+ * subtraction stays exactly symmetric. The arena holds the per-call
+ * pair lists and scaled segments -W U^{-1}, all rewritten on every call
+ * (no heap traffic once the arena has grown).
  *
  * @param reduced      q x q accumulator (V with damping already applied).
  * @param rhs          q-dimensional accumulator (by).
@@ -79,36 +85,51 @@ void subtractBlockSparseSchur(
     const std::vector<std::uint32_t> &support_blocks,
     const std::vector<double> &w_blocks, common::Arena &arena);
 
-/** Result of M-type Schur (marginalization prior, Sec. 3.1 step 3). */
-struct MSchurResult
+/**
+ * Reusable buffers of the M-type Schur path (subtractMSchur and
+ * blockedInverseDiagonalM11): M^{-1}, Lambda M^{-1}, the blocks and
+ * products of Eq. 5's blocked inverse, and the Cholesky inverse's work.
+ * One instance per caller; each call rewrites every buffer it reads.
+ */
+struct MSchurWork
 {
-    Matrix prior;      //!< Hp = A - Lambda M^{-1} Lambda^T.
-    Vector priorRhs;   //!< rp = br - Lambda M^{-1} bm.
+    Matrix minv, lm;
+    Matrix m12, m21, m22, m11_inv, t, sprime, sprime_inv, m21_m11inv, bl,
+        t_sprime_inv, tl;
+    CholeskyInverseWork chol;
 };
 
 /**
- * M-type Schur complement: marginalizes the M block of
- * H = [[M, Lambda^T], [Lambda, A]], b = [bm, br].
+ * M-type Schur complement in place (marginalization prior, Sec. 3.1
+ * step 3): marginalizes the M block of H = [[M, Lambda^T], [Lambda, A]],
+ * b = [bm, br], leaving the prior Hp = A - Lambda M^{-1} Lambda^T in a
+ * and rp = br - Lambda M^{-1} bm in br. No allocation once work has the
+ * shapes.
  *
- * @param m            Symmetric positive-definite block to marginalize.
- * @param lambda       Coupling block (rows match A, cols match M).
- * @param a            Retained block.
- * @param bm           rhs segment of the marginalized states.
- * @param br           rhs segment of the retained states.
- * @param diag_m11     Dimension of the leading diagonal sub-block of M
- *                     used for the blocked inverse of Eq. 5; 0 selects a
- *                     plain Cholesky inverse.
+ * @param a        Retained block on entry, Hp on return.
+ * @param br       rhs segment of the retained states on entry, rp on
+ *                 return.
+ * @param m        Symmetric positive-definite block to marginalize.
+ * @param lambda   Coupling block (rows match A, cols match M).
+ * @param bm       rhs segment of the marginalized states.
+ * @param diag_m11 Dimension of the leading diagonal sub-block of M used
+ *                 for the blocked inverse of Eq. 5; 0 selects a plain
+ *                 Cholesky inverse.
+ * @param work     Reused buffers.
  */
-MSchurResult mSchur(const Matrix &m, const Matrix &lambda, const Matrix &a,
-                    const Vector &bm, const Vector &br,
-                    std::size_t diag_m11 = 0);
+void subtractMSchur(Matrix &a, Vector &br, const Matrix &m,
+                    const Matrix &lambda, const Vector &bm,
+                    std::size_t diag_m11, MSchurWork &work);
 
 /**
- * Blocked inverse of Eq. 5: inverts M = [[M11, M12], [M21, M22]] where the
- * leading p x p block M11 is diagonal. Used to show the cost advantage the
- * paper's M-DFG builder exploits.
+ * Blocked inverse of Eq. 5 into inv: inverts M = [[M11, M12], [M21,
+ * M22]] where the leading p x p block M11 is diagonal, with work's block
+ * and product buffers. Used to show the cost advantage the paper's
+ * M-DFG builder exploits. inv must not be one of work's buffers or
+ * alias m.
  */
-Matrix blockedInverseDiagonalM11(const Matrix &m, std::size_t p);
+void blockedInverseDiagonalM11(Matrix &inv, const Matrix &m, std::size_t p,
+                               MSchurWork &work);
 
 } // namespace archytas::linalg
 

@@ -52,8 +52,17 @@ scalarAxpys(double *h, std::size_t ldh, const double *alpha,
         scalarAxpy(h + r * ldh, alpha[r], x, n);
 }
 
-constexpr Ops kScalarOps = {"scalar", scalarDot, scalarAxpy, scalarDots,
-                            scalarAxpys};
+void
+scalarRankUpdate(double *h, std::size_t ldh, const double *const *alpha,
+                 const double *const *x, std::size_t k, std::size_t rows,
+                 std::size_t n)
+{
+    for (std::size_t t = 0; t < k; ++t)
+        scalarAxpys(h, ldh, alpha[t], rows, x[t], n);
+}
+
+constexpr Ops kScalarOps = {"scalar",    scalarDot,   scalarAxpy,
+                            scalarDots,  scalarAxpys, scalarRankUpdate};
 
 // archytas-analyzer: allow(global-state) -- the once-per-process backend
 // selection the header documents: written exactly once at startup (or by

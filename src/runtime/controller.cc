@@ -86,8 +86,8 @@ RuntimeController::onWindow(std::size_t feature_count)
     ARCHYTAS_COUNT_ADD("runtime.windows", 1);
     if (decision.reconfigured)
         ARCHYTAS_COUNT_ADD("runtime.reconfigurations", 1);
-    ARCHYTAS_GAUGE_SET("runtime.iter",
-                       static_cast<double>(decision.iterations));
+    ARCHYTAS_HIST_RECORD("runtime.iter",
+                         static_cast<double>(decision.iterations));
     ARCHYTAS_INSTANT("runtime", "runtime.decide",
                      {"features", static_cast<double>(feature_count)},
                      {"proposal", static_cast<double>(proposal)},

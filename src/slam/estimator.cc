@@ -471,10 +471,11 @@ SlidingWindowEstimator::processFrame(const dataset::FrameData &frame)
         ARCHYTAS_COUNT_ADD("estimator.windows_optimized", 1);
         ARCHYTAS_COUNT_ADD("estimator.lm_iterations",
                            result.lm_report.iterations);
-        ARCHYTAS_GAUGE_SET("estimator.final_cost",
-                           result.lm_report.final_cost);
+        ARCHYTAS_HIST_RECORD("estimator.final_cost",
+                             result.lm_report.final_cost);
     }
-    ARCHYTAS_GAUGE_SET("estimator.position_error", result.position_error);
+    ARCHYTAS_HIST_RECORD("estimator.position_error",
+                         result.position_error);
     recordHealthMetrics(result.health);
     return result;
 }

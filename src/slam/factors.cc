@@ -31,23 +31,18 @@ composeInto(FixedMatrix<2, 6> &out, std::size_t c0,
 }
 
 /**
- * The feature's point in the anchor and the target camera: the one
- * projection the full and the residual-only visual evaluations share.
- * False when the point is behind the anchor, at infinity, or nearer the
- * target camera than min_depth.
+ * The feature's point in the target camera: the one projection the full
+ * and the residual-only visual evaluations share. False when the point
+ * is behind the anchor, at infinity, or nearer the target camera than
+ * min_depth.
  */
 bool
-featureInTarget(const PinholeCamera &camera, const Pose &anchor,
-                const Pose &target, const Vec3 &bearing, double inv_depth,
-                Vec3 &p_anchor, Vec3 &p_target)
+featureInTarget(const PinholeCamera &camera, const FeatureAnchor &feature,
+                const Pose &target, Vec3 &p_target)
 {
-    if (inv_depth <= 1e-6)
+    if (!feature.valid)
         return false;   // Behind or at infinity: uninformative.
-
-    // Point in the anchor camera, the world, then the target camera.
-    p_anchor = bearing * (1.0 / inv_depth);
-    const Vec3 p_world = anchor.transform(p_anchor);
-    p_target = target.inverseTransform(p_world);
+    p_target = target.inverseTransform(feature.p_world);
     if (p_target.z < camera.min_depth)
         return false;
     return true;
@@ -110,28 +105,42 @@ setResidual(double *r, const ImuTerms &t)
 
 } // namespace
 
+FeatureAnchor
+featureAnchor(const Pose &anchor, const Vec3 &bearing, double inv_depth)
+{
+    FeatureAnchor fa;
+    if (inv_depth <= 1e-6)
+        return fa;   // Behind or at infinity: uninformative.
+    // Point in the anchor camera, then the world.
+    fa.p_anchor = bearing * (1.0 / inv_depth);
+    fa.p_world = anchor.transform(fa.p_anchor);
+    fa.dp_anchor = bearing * (-1.0 / (inv_depth * inv_depth));
+    fa.valid = true;
+    return fa;
+}
+
 VisualFactorEval
 evaluateVisualFactor(const PinholeCamera &camera, const Pose &anchor,
                      const Pose &target, const Vec3 &bearing,
                      double inv_depth, const Vec2 &measurement)
 {
     VisualFactorEval eval;
-    evaluateVisualFactorInto(eval, camera, anchor, target,
-                             keyframeRotation(anchor),
-                             keyframeRotation(target), bearing, inv_depth,
-                             measurement);
+    const KeyframeRotation anchor_rot = keyframeRotation(anchor);
+    const KeyframeRotation target_rot = keyframeRotation(target);
+    evaluateVisualFactorInto(eval, camera,
+                             featureAnchor(anchor, bearing, inv_depth),
+                             target, target_rot,
+                             target_rot.r_t * anchor_rot.r, measurement);
     return eval;
 }
 
 bool
 evaluateVisualResidual(Vec2 &residual, const PinholeCamera &camera,
-                       const Pose &anchor, const Pose &target,
-                       const Vec3 &bearing, double inv_depth,
+                       const FeatureAnchor &feature, const Pose &target,
                        const Vec2 &measurement)
 {
-    Vec3 p_anchor, p_target;
-    if (!featureInTarget(camera, anchor, target, bearing, inv_depth,
-                         p_anchor, p_target))
+    Vec3 p_target;
+    if (!featureInTarget(camera, feature, target, p_target))
         return false;
     residual = camera.projectUnchecked(p_target) - measurement;
     return true;
@@ -139,16 +148,13 @@ evaluateVisualResidual(Vec2 &residual, const PinholeCamera &camera,
 
 void
 evaluateVisualFactorInto(VisualFactorEval &eval, const PinholeCamera &camera,
-                         const Pose &anchor, const Pose &target,
-                         const KeyframeRotation &anchor_rot,
+                         const FeatureAnchor &feature, const Pose &target,
                          const KeyframeRotation &target_rot,
-                         const Vec3 &bearing, double inv_depth,
-                         const Vec2 &measurement)
+                         const Mat3 &r_ta, const Vec2 &measurement)
 {
     eval.valid = false;
-    Vec3 p_anchor, p_target;
-    if (!featureInTarget(camera, anchor, target, bearing, inv_depth,
-                         p_anchor, p_target))
+    Vec3 p_target;
+    if (!featureInTarget(camera, feature, target, p_target))
         return;
 
     const Vec2 predicted = camera.projectUnchecked(p_target);
@@ -156,20 +162,19 @@ evaluateVisualFactorInto(VisualFactorEval &eval, const PinholeCamera &camera,
 
     camera.projectionJacobianInto(eval.j_proj, p_target);
     const FixedMatrix<2, 3> &j_proj = eval.j_proj;
-    const Mat3 &r_t_inv = target_rot.r_t;
-    const Mat3 r_ta = r_t_inv * anchor_rot.r;
 
     // Pose tangent ordering is [d_theta(3), d_p(3)], rotation
     // right-perturbed, translation additive (see Pose::applyTangent).
     // composeInto covers both 2 x 3 halves, so every entry is written.
-    composeInto(eval.j_anchor, 0, j_proj, (r_ta * skew(p_anchor)) * -1.0);
-    composeInto(eval.j_anchor, 3, j_proj, r_t_inv);
+    composeInto(eval.j_anchor, 0, j_proj,
+                (r_ta * skew(feature.p_anchor)) * -1.0);
+    composeInto(eval.j_anchor, 3, j_proj, target_rot.r_t);
 
     composeInto(eval.j_target, 0, j_proj, skew(p_target));
-    composeInto(eval.j_target, 3, j_proj, r_t_inv * -1.0);
+    composeInto(eval.j_target, 3, j_proj, target_rot.neg_r_t);
 
     // d p_anchor / d inv_depth = -bearing / inv_depth^2.
-    const Vec3 dp = r_ta * (bearing * (-1.0 / (inv_depth * inv_depth)));
+    const Vec3 dp = r_ta * feature.dp_anchor;
     eval.j_depth.m[0] = j_proj.m[0]*dp.x + j_proj.m[1]*dp.y +
                         j_proj.m[2]*dp.z;
     eval.j_depth.m[1] = j_proj.m[3]*dp.x + j_proj.m[4]*dp.y +

@@ -24,14 +24,16 @@ inline constexpr double kGravity = 9.81;
 inline Vec3 gravityVector() { return {0.0, 0.0, -kGravity}; }
 
 /**
- * A keyframe's rotation matrix and its transpose. The window assembly
- * computes them once per keyframe and build, and every visual factor
- * touching the keyframe reads them (its anchor's R, its target's R^T).
+ * A keyframe's rotation matrix, its transpose and the negated transpose.
+ * The window assembly computes them once per keyframe and build, and
+ * every visual factor touching the keyframe reads them (its anchor's R,
+ * its target's R^T and -R^T).
  */
 struct KeyframeRotation
 {
-    Mat3 r;   //!< Body -> world: pose.q.toRotationMatrix().
-    Mat3 r_t; //!< World -> body: r.transposed().
+    Mat3 r;       //!< Body -> world: pose.q.toRotationMatrix().
+    Mat3 r_t;     //!< World -> body: r.transposed().
+    Mat3 neg_r_t; //!< r_t * -1.0.
 };
 
 /** The KeyframeRotation of a pose. */
@@ -41,8 +43,28 @@ keyframeRotation(const Pose &pose)
     KeyframeRotation rot;
     rot.r = pose.q.toRotationMatrix();
     rot.r_t = rot.r.transposed();
+    rot.neg_r_t = rot.r_t * -1.0;
     return rot;
 }
+
+/**
+ * A feature's anchor-side terms, shared by every observation of it: the
+ * window assembly, the cost evaluation and marginalization compute them
+ * once per feature instead of once per observation.
+ */
+struct FeatureAnchor
+{
+    /** False when the inverse depth is <= 1e-6 (behind the anchor or at
+     *  infinity): every observation of the feature is then invalid. */
+    bool valid = false;
+    Vec3 p_anchor;  //!< Point in the anchor camera: bearing / inv_depth.
+    Vec3 p_world;   //!< anchor.transform(p_anchor).
+    Vec3 dp_anchor; //!< d p_anchor / d inv_depth: -bearing / inv_depth^2.
+};
+
+/** The FeatureAnchor of a feature anchored at pose `anchor`. */
+FeatureAnchor featureAnchor(const Pose &anchor, const Vec3 &bearing,
+                            double inv_depth);
 
 /**
  * Evaluation of one visual observation. The Jacobian blocks are
@@ -64,28 +86,27 @@ struct VisualFactorEval
  * Evaluates the reprojection residual and Jacobians of a feature seen in
  * a target keyframe, with the feature anchored (by bearing + inverse
  * depth) in its anchor keyframe. The one visual evaluator: the window
- * assembly and marginalization call it with rotations computed once per
- * keyframe.
+ * assembly and marginalization call it with the feature's anchor terms
+ * computed once per feature, rotations once per keyframe and the
+ * relative rotation once per keyframe pair.
  *
- * @param eval       Overwritten; every Jacobian entry is set when valid.
- * @param camera     Pinhole intrinsics.
- * @param anchor     Anchor keyframe pose (body == camera frame).
- * @param target     Observing keyframe pose.
- * @param anchor_rot keyframeRotation(anchor).
- * @param target_rot keyframeRotation(target).
- * @param bearing    Unit-depth bearing in the anchor camera.
- * @param inv_depth  Inverse depth along the bearing.
+ * @param eval        Overwritten; every Jacobian entry is set when valid.
+ * @param camera      Pinhole intrinsics.
+ * @param feature     featureAnchor(anchor pose, bearing, inverse depth).
+ * @param target      Observing keyframe pose.
+ * @param target_rot  keyframeRotation(target).
+ * @param r_ta        target_rot.r_t * keyframeRotation(anchor).r.
  * @param measurement Observed pixel in the target frame.
  */
 void evaluateVisualFactorInto(VisualFactorEval &eval,
                               const PinholeCamera &camera,
-                              const Pose &anchor, const Pose &target,
-                              const KeyframeRotation &anchor_rot,
+                              const FeatureAnchor &feature,
+                              const Pose &target,
                               const KeyframeRotation &target_rot,
-                              const Vec3 &bearing, double inv_depth,
-                              const Vec2 &measurement);
+                              const Mat3 &r_ta, const Vec2 &measurement);
 
-/** Convenience wrapper: computes both rotations, returns a fresh eval. */
+/** Convenience wrapper: computes the feature's anchor terms and the
+ *  rotations, returns a fresh eval. */
 VisualFactorEval evaluateVisualFactor(const PinholeCamera &camera,
                                       const Pose &anchor, const Pose &target,
                                       const Vec3 &bearing, double inv_depth,
@@ -122,8 +143,7 @@ void addVisualCoupling(double *seg, std::size_t stride,
  * @return false when the point projects badly; residual is then unset.
  */
 bool evaluateVisualResidual(Vec2 &residual, const PinholeCamera &camera,
-                            const Pose &anchor, const Pose &target,
-                            const Vec3 &bearing, double inv_depth,
+                            const FeatureAnchor &feature, const Pose &target,
                             const Vec2 &measurement);
 
 /**

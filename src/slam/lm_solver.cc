@@ -116,7 +116,7 @@ solveWindow(WindowProblem &problem, const LmOptions &options,
 
     report.final_cost = cost;
     ARCHYTAS_COUNT_ADD("solver.iterations", report.iterations);
-    ARCHYTAS_GAUGE_SET("solver.final_cost", cost);
+    ARCHYTAS_HIST_RECORD("solver.final_cost", cost);
     // Divergence: the accepted-step discipline above never raises the
     // cost, so this only fires when a corrupted inner solve (e.g. an
     // injected result bit-flip that slipped past step rejection) or a

@@ -79,21 +79,28 @@ marginalizeOldestKeyframe(const PinholeCamera &camera,
     // are written here; the pose blocks and pose rhs by the shared
     // addVisualPoseBlocks.
     std::vector<KeyframeRotation> &rot = scratch.rotations;
+    std::vector<Mat3> &r_ta = scratch.relative_rotations;
     rot.resize(b);
+    r_ta.resize(b);
     for (std::size_t k = 0; k < b; ++k)
         rot[k] = keyframeRotation(keyframes[k].pose);
+    for (std::size_t k = 1; k < b; ++k)
+        r_ta[k] = rot[k].r_t * rot[0].r;
     const linalg::simd::Ops &v = linalg::simd::ops();
     double *hd = h.data();
     for (std::size_t fi = 0; fi < am; ++fi) {
         const Feature &feat = *marg_features[fi];
+        const FeatureAnchor fa = featureAnchor(
+            keyframes[0].pose, feat.anchor_bearing, feat.inverse_depth);
+        if (!fa.valid)
+            continue; // Every observation would project badly.
         for (const auto &obs : feat.observations) {
             const std::size_t t_idx = obs.keyframe_index;
             if (t_idx == feat.anchor_index)
                 continue;
-            evaluateVisualFactorInto(
-                scratch.ev, camera, keyframes[0].pose, keyframes[t_idx].pose,
-                rot[0], rot[t_idx], feat.anchor_bearing, feat.inverse_depth,
-                obs.pixel);
+            evaluateVisualFactorInto(scratch.ev, camera, fa,
+                                     keyframes[t_idx].pose, rot[t_idx],
+                                     r_ta[t_idx], obs.pixel);
             const VisualFactorEval &ev = scratch.ev;
             if (!ev.valid)
                 continue;
@@ -130,8 +137,8 @@ marginalizeOldestKeyframe(const PinholeCamera &camera,
 
     // IMU factor between keyframes 0 and 1.
     if (preint01 && preint01->sampleCount() > 0) {
-        const ImuFactorEval ev =
-            evaluateImuFactor(*preint01, keyframes[0], keyframes[1]);
+        ImuFactorEval &ev = scratch.imu;
+        evaluateImuFactorInto(ev, *preint01, keyframes[0], keyframes[1]);
         const linalg::Matrix &information = preint01->information();
         linalg::multiplyInto(scratch.imu_lr, information, ev.residual);
         linalg::multiplyInto(scratch.imu_li, information, ev.j_i);
@@ -151,41 +158,37 @@ marginalizeOldestKeyframe(const PinholeCamera &camera,
         linalg::subtractTransposeApplyScaled(g, dim, r1, ev.j_j, lr, 1.0);
     }
 
-    // Old prior (covers keyframes [0, old_prior.keyframes())).
-    if (!old_prior.empty()) {
-        const linalg::Vector dx = old_prior.boxMinus(keyframes);
-        const linalg::Vector grad_side =
-            old_prior.informationVector() - old_prior.information() * dx;
-        const std::size_t pd = old_prior.dim();
-        for (std::size_t r = 0; r < pd; ++r) {
-            g[am + r] += grad_side[r];
-            for (std::size_t c = 0; c < pd; ++c)
-                h(am + r, am + c) += old_prior.information()(r, c);
-        }
-    }
+    // Old prior (covers keyframes [0, old_prior.keyframes())): H and
+    // r - H dx at the keyframe rows, dx and H dx in the scratch.
+    old_prior.addTo(hd + am * dim + am, dim, g + am, keyframes,
+                    scratch.prior);
 
     // Split into marginalized (lambda block + kf0) and retained blocks.
+    // The retained block and rhs are copied straight into the new
+    // prior's storage, which the M-type Schur updates in place.
     const std::size_t md = am + kKeyframeDof;
     const std::size_t rd = (b - 1) * kKeyframeDof;
     copyBlock(scratch.m, h, 0, 0, md, md);
     copyBlock(scratch.lambda, h, md, 0, rd, md);
-    copyBlock(scratch.a, h, md, md, rd, rd);
     copySegment(scratch.bm, g, 0, md);
-    copySegment(scratch.br, g, md, rd);
+    linalg::Matrix prior_h;
+    copyBlock(prior_h, h, md, md, rd, rd);
+    linalg::Vector prior_r;
+    copySegment(prior_r, g, md, rd);
 
     // Light Tikhonov regularization keeps M invertible when the departing
     // keyframe is weakly constrained.
     for (std::size_t i = 0; i < md; ++i)
         scratch.m(i, i) += 1e-9;
 
-    const linalg::MSchurResult schur =
-        linalg::mSchur(scratch.m, scratch.lambda, scratch.a, scratch.bm,
-                       scratch.br, /*diag_m11=*/am);
+    linalg::subtractMSchur(prior_h, prior_r, scratch.m, scratch.lambda,
+                           scratch.bm, /*diag_m11=*/am, scratch.schur);
 
     std::vector<KeyframeState> lin(keyframes.begin() + 1, keyframes.end());
 
     MarginalizationResult out;
-    out.prior = PriorFactor(schur.prior, schur.priorRhs, std::move(lin));
+    out.prior = PriorFactor(std::move(prior_h), std::move(prior_r),
+                            std::move(lin));
     out.marginalized_features = am;
     out.marginalized_dim = md;
     return out;

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "linalg/schur.hh"
 #include "slam/prior.hh"
 #include "slam/window_problem.hh"
 
@@ -35,8 +36,9 @@ struct MarginalizationResult
 
 /**
  * Reusable marginalization buffers: the dense H / g accumulators live in
- * the arena (reset each call) and the factor-evaluation and block-split
- * temporaries keep their heap storage across frames. One instance per
+ * the arena (reset each call) and the factor-evaluation, block-split and
+ * M-type Schur temporaries keep their heap storage across frames, so a
+ * warmed call allocates only the new prior it returns. One instance per
  * estimator; never shared between concurrently-marginalizing sessions.
  */
 struct MarginalizationScratch
@@ -44,11 +46,15 @@ struct MarginalizationScratch
     common::Arena arena; //!< Backs the dense H and g accumulators.
     std::vector<const Feature *> marg_features;
     std::vector<KeyframeRotation> rotations; //!< Each keyframe's R, R^T.
+    std::vector<Mat3> relative_rotations;    //!< R_k^T R_0 per keyframe k.
     VisualFactorEval ev;           //!< Reused visual-factor evaluation.
+    ImuFactorEval imu;             //!< Reused IMU-factor evaluation.
     linalg::Matrix imu_li, imu_lj; //!< Lambda J products.
     linalg::Vector imu_lr;         //!< Lambda r product.
-    linalg::Matrix m, lambda, a;   //!< Block split of H.
-    linalg::Vector bm, br;         //!< Block split of g.
+    PriorWork prior;               //!< The old prior's dx and H dx.
+    linalg::Matrix m, lambda;      //!< Marginalized and coupling blocks.
+    linalg::Vector bm;             //!< Marginalized rhs segment.
+    linalg::MSchurWork schur;      //!< M-type Schur temporaries.
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "slam/prior.hh"
 
+#include "common/contracts.hh"
 #include "common/logging.hh"
 
 namespace archytas::slam {
@@ -73,8 +74,29 @@ PriorFactor::deviation(const std::vector<KeyframeState> &current,
     double *d = work.dx.data().data();
     for (std::size_t i = 0; i < lin_.size(); ++i)
         keyframeBoxMinusInto(d + i * kKeyframeDof, current[i], lin_[i]);
+    // H dx four rows at a time: each row keeps its own left-to-right
+    // sum, and the four independent chains run side by side.
     double *hd = work.hdx.data().data();
-    for (std::size_t r = 0; r < n; ++r) {
+    std::size_t r = 0;
+    for (; r + 4 <= n; r += 4) {
+        const double *h0 = h_.rowPtr(r);
+        const double *h1 = h_.rowPtr(r + 1);
+        const double *h2 = h_.rowPtr(r + 2);
+        const double *h3 = h_.rowPtr(r + 3);
+        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+        for (std::size_t c = 0; c < n; ++c) {
+            const double dc = d[c];
+            a0 += h0[c] * dc;
+            a1 += h1[c] * dc;
+            a2 += h2[c] * dc;
+            a3 += h3[c] * dc;
+        }
+        hd[r] = a0;
+        hd[r + 1] = a1;
+        hd[r + 2] = a2;
+        hd[r + 3] = a3;
+    }
+    for (; r < n; ++r) {
         const double *hrow = h_.rowPtr(r);
         double acc = 0.0;
         for (std::size_t c = 0; c < n; ++c)
@@ -113,18 +135,33 @@ PriorFactor::accumulate(const std::vector<KeyframeState> &current,
 {
     if (empty())
         return 0.0;
-    ARCHYTAS_ASSERT(h_out.rows() >= dim() && b_out.size() >= dim(),
+    ARCHYTAS_ASSERT(h_out.rows() >= dim() && h_out.cols() >= dim() &&
+                        b_out.size() >= dim(),
                     "prior accumulate target too small");
+    addTo(h_out.data().data(), h_out.cols(), b_out.data().data(), current,
+          work);
+    return costFrom(work);
+}
+
+void
+PriorFactor::addTo(double *h, std::size_t ldh, double *g,
+                   const std::vector<KeyframeState> &current,
+                   PriorWork &work) const
+{
+    if (empty())
+        return;
+    ARCHYTAS_DCHECK(ldh >= dim(), "prior addTo: row stride ", ldh,
+                    " shorter than the prior's ", dim(), " columns");
     deviation(current, work);
-    const linalg::Vector &hdx = work.hdx;
+    const double *hdx = work.hdx.data().data();
+    const double *rp = r_.data().data();
     for (std::size_t r = 0; r < dim(); ++r) {
-        b_out[r] += r_[r] - hdx[r];
+        g[r] += rp[r] - hdx[r];
         const double *hrow = h_.rowPtr(r);
-        double *orow = h_out.rowPtr(r);
+        double *orow = h + r * ldh;
         for (std::size_t c = 0; c < dim(); ++c)
             orow[c] += hrow[c];
     }
-    return costFrom(work);
 }
 
 PriorFactor

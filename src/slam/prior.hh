@@ -80,6 +80,16 @@ class PriorFactor
                       PriorWork &work) const;
 
     /**
+     * accumulate()'s update without the cost, through raw rows: the
+     * dim() x dim() block at h (row stride ldh) += H and the dim()
+     * entries at g += r - H dx, with dx and H dx in work's buffers.
+     * Marginalization adds the old prior at an offset with it.
+     */
+    void addTo(double *h, std::size_t ldh, double *g,
+               const std::vector<KeyframeState> &current,
+               PriorWork &work) const;
+
+    /**
      * Drops the first keyframe's 15 rows/cols, used when the covered
      * keyframe itself gets marginalized with no factor coupling (not used
      * on the main path, provided for tests/tools).
@@ -87,8 +97,9 @@ class PriorFactor
     PriorFactor shifted() const;
 
   private:
-    /** work.dx = boxMinus(current) and work.hdx = H dx, rows summed left
-     *  to right; resizes the buffers only when the dimension changes. */
+    /** work.dx = boxMinus(current) and work.hdx = H dx, each row summed
+     *  left to right (four rows side by side); resizes the buffers only
+     *  when the dimension changes. */
     void deviation(const std::vector<KeyframeState> &current,
                    PriorWork &work) const;
     /** 0.5 dx^T H dx - r^T dx from a deviation(). */

@@ -127,16 +127,21 @@ imuCost(const linalg::Matrix &information, const double *r, double *lr)
 }
 
 /**
- * Feature f's pose-row segment of W in keyframe block blk, found by a
- * scan of f's sorted support (at most K entries). blk must be in it.
+ * Support entry of keyframe block blk for a feature whose support starts
+ * at entry s0, searched from the cursor s: a feature's observations
+ * ascend by keyframe, so the cursor only moves forward along its sorted
+ * support, and an out-of-order observation rescans from s0. blk must be
+ * in the support.
  */
-double *
-wSegment(NormalEquations &eq, std::size_t f, std::size_t blk)
+std::size_t
+supportEntry(const NormalEquations &eq, std::size_t s0, std::size_t s,
+             std::size_t blk)
 {
-    std::size_t s = eq.support_offsets[f];
+    if (eq.support_blocks[s] > blk)
+        s = s0;
     while (eq.support_blocks[s] != blk)
         ++s;
-    return eq.w_blocks.data() + s * kPoseDof;
+    return s;
 }
 
 } // namespace
@@ -242,12 +247,20 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
         sh.cost = 0.0;
     }
 
-    // --- Keyframe rotations (serial): R and R^T once per keyframe, read
-    // by every visual factor anchored in or observed from it ---
+    // --- Keyframe rotations (serial): R, R^T and -R^T once per keyframe,
+    // read by every visual factor anchored in or observed from it, and
+    // R_t^T R_a once per (target, anchor) pair ---
+    const std::size_t nkf = keyframes_.size();
     std::vector<KeyframeRotation> &rot = scratch.rotations;
-    rot.resize(keyframes_.size());
-    for (std::size_t k = 0; k < keyframes_.size(); ++k)
+    rot.resize(nkf);
+    for (std::size_t k = 0; k < nkf; ++k)
         rot[k] = keyframeRotation(keyframes_[k].pose);
+    std::vector<Mat3> &r_ta = scratch.relative_rotations;
+    r_ta.resize(nkf * nkf);
+    for (std::size_t t = 0; t < nkf; ++t)
+        for (std::size_t a = 0; a < nkf; ++a)
+            if (a != t)
+                r_ta[t * nkf + a] = rot[t].r_t * rot[a].r;
 
     // --- Visual factors (parallel per-feature chunk) ---
     // Feature f exclusively owns u_diag[f], bx[f] and its w_blocks
@@ -263,14 +276,23 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
             for (std::size_t f = b; f < e; ++f) {
                 const Feature &feat = features_[f];
                 const std::size_t a_idx = feat.anchor_index;
+                const FeatureAnchor fa =
+                    featureAnchor(keyframes_[a_idx].pose,
+                                  feat.anchor_bearing, feat.inverse_depth);
+                if (!fa.valid)
+                    continue; // Every observation would project badly.
+                const std::size_t s0 = eq.support_offsets[f];
+                double *w_anchor =
+                    eq.w_blocks.data() +
+                    supportEntry(eq, s0, s0, a_idx) * kPoseDof;
+                std::size_t cursor = s0;
                 for (const auto &obs : feat.observations) {
                     const std::size_t t_idx = obs.keyframe_index;
                     if (t_idx == a_idx)
                         continue; // Anchor observation: no information.
                     evaluateVisualFactorInto(
-                        sh.ev, camera_, keyframes_[a_idx].pose,
-                        keyframes_[t_idx].pose, rot[a_idx], rot[t_idx],
-                        feat.anchor_bearing, feat.inverse_depth, obs.pixel);
+                        sh.ev, camera_, fa, keyframes_[t_idx].pose,
+                        rot[t_idx], r_ta[t_idx * nkf + a_idx], obs.pixel);
                     const VisualFactorEval &ev = sh.ev;
                     if (!ev.valid)
                         continue;
@@ -289,10 +311,12 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
                     eq.bx[f] -= wt * (jd0 * res[0] + jd1 * res[1]);
 
                     // W: column f's anchor and target pose segments.
-                    addVisualCoupling(wSegment(eq, f, a_idx), 1,
-                                      ev.j_anchor, ev.j_depth, wt);
-                    addVisualCoupling(wSegment(eq, f, t_idx), 1,
-                                      ev.j_target, ev.j_depth, wt);
+                    cursor = supportEntry(eq, s0, cursor, t_idx);
+                    addVisualCoupling(w_anchor, 1, ev.j_anchor, ev.j_depth,
+                                      wt);
+                    addVisualCoupling(eq.w_blocks.data() +
+                                          cursor * kPoseDof,
+                                      1, ev.j_target, ev.j_depth, wt);
 
                     // V's (a,a), (a,t), (t,a), (t,t) pose blocks and the
                     // pose rhs, at the shard's 6-strided rows.
@@ -379,15 +403,18 @@ WindowProblem::evaluateCost(PriorWork &prior_work) const
         [] { return 0.0; },
         [&](double &partial, std::size_t f) {
             const Feature &feat = features_[f];
+            const FeatureAnchor fa =
+                featureAnchor(keyframes_[feat.anchor_index].pose,
+                              feat.anchor_bearing, feat.inverse_depth);
+            if (!fa.valid)
+                return; // Every observation would project badly.
             for (const auto &obs : feat.observations) {
                 if (obs.keyframe_index == feat.anchor_index)
                     continue;
                 Vec2 res;
                 if (!evaluateVisualResidual(
-                        res, camera_, keyframes_[feat.anchor_index].pose,
-                        keyframes_[obs.keyframe_index].pose,
-                        feat.anchor_bearing, feat.inverse_depth,
-                        obs.pixel))
+                        res, camera_, fa,
+                        keyframes_[obs.keyframe_index].pose, obs.pixel))
                     continue;
                 const double wt =
                     huberWeight(visual_weight_, huber_delta_, res);

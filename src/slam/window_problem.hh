@@ -113,8 +113,11 @@ struct AssemblyScratch
     common::Arena arena;                   //!< Backs the shard views.
     std::vector<AssemblyShard> shards;
     std::vector<std::uint32_t> tmp_blocks; //!< Support pre-pass buffer.
-    /** Each keyframe's R and R^T, computed once per build. */
+    /** Each keyframe's R, R^T and -R^T, computed once per build. */
     std::vector<KeyframeRotation> rotations;
+    /** R_t^T R_a at [t * K + a] for target t != anchor a of K keyframes,
+     *  computed once per build. */
+    std::vector<Mat3> relative_rotations;
     ImuFactorEval imu;                     //!< Reused IMU evaluation.
     linalg::Matrix imu_li, imu_lj;         //!< Lambda J products.
     PriorWork prior;                       //!< Prior dx and H dx.
@@ -131,16 +134,16 @@ struct ReducedSystem
     std::vector<double> inv_u; //!< Reciprocal pivots (W U^{-1} scaling).
     linalg::Matrix reduced;    //!< V_damped - W U^{-1} W^T.
     linalg::Vector rhs;        //!< by - W U^{-1} bx.
-    common::Arena arena;       //!< Per-feature scaled-segment scratch.
+    common::Arena arena;       //!< Pair lists and scaled segments.
 };
 
 /**
  * Forms the damped reduced keyframe system of one LM step into rs:
  * reduced = V + lambda diag(V) - W U^{-1} W^T, rhs = by - W U^{-1} bx,
- * with pivots u = u_diag (1 + lambda) + eps. The elimination folds in
- * one feature at a time, as the outer product of its pose-row segments
- * (linalg::subtractBlockSparseSchur), so eq must carry the support
- * structure that build() fills.
+ * with pivots u = u_diag (1 + lambda) + eps. The elimination adds each
+ * feature's outer product of its pose-row segments, block pair by block
+ * pair in ascending feature order (linalg::subtractBlockSparseSchur), so
+ * eq must carry the support structure that build() fills.
  */
 void formReducedSystem(const NormalEquations &eq, double lambda,
                        ReducedSystem &rs);

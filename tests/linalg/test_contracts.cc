@@ -96,12 +96,14 @@ TEST(ContractsDeathTest, DSchurShapeMismatches)
 TEST(ContractsDeathTest, MSchurShapeMismatch)
 {
     const Matrix m = Matrix::identity(4);
-    const Matrix a = Matrix::identity(3);
+    Matrix a = Matrix::identity(3);
     const Matrix lambda_bad(3, 5);   // should be 3 x 4
-    const Vector bm(4), br(3);
-    EXPECT_DEATH(
-        archytas::linalg::mSchur(m, lambda_bad, a, bm, br, 0),
-        "mSchur.*dimension mismatch");
+    const Vector bm(4);
+    Vector br(3);
+    archytas::linalg::MSchurWork work;
+    EXPECT_DEATH(archytas::linalg::subtractMSchur(a, br, m, lambda_bad, bm,
+                                                  0, work),
+                 "mSchur.*dimension mismatch");
 }
 
 TEST(ContractsDeathTest, SMatrixBlockContracts)

@@ -114,14 +114,17 @@ TEST(MSchur, MatchesDirectMarginalization)
     for (std::size_t i = 0; i < pr; ++i)
         br[i] = rng.uniform(-1, 1);
 
-    const MSchurResult out = mSchur(m, lambda, a, bm, br);
+    Matrix prior = a;
+    Vector prior_rhs = br;
+    MSchurWork work;
+    subtractMSchur(prior, prior_rhs, m, lambda, bm, 0, work);
 
     // Reference: direct dense computation.
     const Matrix minv = choleskyInverse(m);
     const Matrix ref_h = a - lambda * minv * lambda.transposed();
     const Vector ref_r = br - lambda * (minv * bm);
-    EXPECT_LT(out.prior.maxAbsDiff(ref_h), 1e-9);
-    EXPECT_LT(out.priorRhs.maxAbsDiff(ref_r), 1e-9);
+    EXPECT_LT(prior.maxAbsDiff(ref_h), 1e-9);
+    EXPECT_LT(prior_rhs.maxAbsDiff(ref_r), 1e-9);
 }
 
 TEST(MSchur, BlockedDiagonalPathMatchesDensePath)
@@ -146,10 +149,13 @@ TEST(MSchur, BlockedDiagonalPathMatchesDensePath)
     for (std::size_t i = 0; i < pr; ++i)
         br[i] = rng.uniform(-1, 1);
 
-    const MSchurResult dense = mSchur(m, lambda, a, bm, br, 0);
-    const MSchurResult blocked = mSchur(m, lambda, a, bm, br, diag);
-    EXPECT_LT(dense.prior.maxAbsDiff(blocked.prior), 1e-8);
-    EXPECT_LT(dense.priorRhs.maxAbsDiff(blocked.priorRhs), 1e-8);
+    Matrix dense = a, blocked = a;
+    Vector dense_rhs = br, blocked_rhs = br;
+    MSchurWork work;
+    subtractMSchur(dense, dense_rhs, m, lambda, bm, 0, work);
+    subtractMSchur(blocked, blocked_rhs, m, lambda, bm, diag, work);
+    EXPECT_LT(dense.maxAbsDiff(blocked), 1e-8);
+    EXPECT_LT(dense_rhs.maxAbsDiff(blocked_rhs), 1e-8);
 }
 
 TEST(BlockedInverse, MatchesCholeskyInverse)
@@ -161,7 +167,9 @@ TEST(BlockedInverse, MatchesCholeskyInverse)
         for (std::size_t c = 0; c < diag; ++c)
             if (r != c)
                 m(r, c) = 0.0;
-    const Matrix inv1 = blockedInverseDiagonalM11(m, diag);
+    Matrix inv1;
+    MSchurWork work;
+    blockedInverseDiagonalM11(inv1, m, diag, work);
     const Matrix inv2 = choleskyInverse(m);
     EXPECT_LT(inv1.maxAbsDiff(inv2), 1e-9);
 }
@@ -169,7 +177,9 @@ TEST(BlockedInverse, MatchesCholeskyInverse)
 TEST(BlockedInverse, FullyDiagonalCase)
 {
     const Matrix d = Matrix::diagonal({2.0, 5.0, 10.0});
-    const Matrix inv = blockedInverseDiagonalM11(d, 3);
+    Matrix inv;
+    MSchurWork work;
+    blockedInverseDiagonalM11(inv, d, 3, work);
     EXPECT_NEAR(inv(0, 0), 0.5, 1e-14);
     EXPECT_NEAR(inv(2, 2), 0.1, 1e-14);
 }
@@ -226,6 +236,38 @@ randomSparseW(std::size_t n_blocks, std::size_t stride, std::size_t segment,
         std::size_t bi = f % n_blocks;
         const std::size_t count = 1 + (f % 3);
         for (std::size_t k = 0; k < count && bi < n_blocks; ++k, bi += 2) {
+            w.blocks.push_back(static_cast<std::uint32_t>(bi));
+            for (std::size_t r = 0; r < segment; ++r) {
+                const double x = rng.uniform(-0.5, 0.5);
+                w.w_blocks.push_back(x);
+                w.dense(bi * stride + r, f) = x;
+            }
+        }
+        w.offsets.push_back(static_cast<std::uint32_t>(w.blocks.size()));
+    }
+    return w;
+}
+
+/**
+ * A W shaped like a sliding window's: 1-8 blocks per feature, the anchor
+ * plus a random subset of the next seven blocks, so pairs of nearby
+ * keyframes are shared by many features and pairs more than seven
+ * blocks apart by none.
+ */
+SparseW
+randomWindowW(std::size_t n_blocks, std::size_t stride, std::size_t segment,
+              std::size_t m, Rng &rng)
+{
+    SparseW w;
+    w.dense = Matrix(n_blocks * stride, m);
+    w.offsets.push_back(0);
+    for (std::size_t f = 0; f < m; ++f) {
+        const std::size_t anchor = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(n_blocks) - 1));
+        for (std::size_t bi = anchor; bi < std::min(anchor + 8, n_blocks);
+             ++bi) {
+            if (bi != anchor && !rng.bernoulli(0.6))
+                continue;
             w.blocks.push_back(static_cast<std::uint32_t>(bi));
             for (std::size_t r = 0; r < segment; ++r) {
                 const double x = rng.uniform(-0.5, 0.5);
@@ -305,8 +347,9 @@ struct BackendGuard
 };
 
 /**
- * The elimination as it ran before the batched block pairs: one level-1
- * axpy per row of every off-diagonal block, on the given table.
+ * The elimination as it ran before the batched block pairs: feature by
+ * feature, one level-1 axpy per row of every off-diagonal block, on the
+ * given table.
  */
 void
 sparseSchurPerRowAxpys(Matrix &reduced, Vector &rhs, const Vector &bx,
@@ -357,7 +400,12 @@ TEST(BlockSparseSchur, MatchesPerRowAxpyReference)
     std::vector<simd::Backend> backends{simd::Backend::kScalar};
     if (simd::avx2Compiled() && simd::avx2Supported())
         backends.push_back(simd::Backend::kAvx2);
-    const std::size_t shapes[][3] = {{5, 3, 3}, {5, 15, 6}, {8, 15, 6}};
+    // {blocks, stride, segment, features, window-shaped}: the last is a
+    // sliding window's, 11 keyframe blocks and ~150 features.
+    const std::size_t shapes[][5] = {{5, 3, 3, 23, 0},
+                                     {5, 15, 6, 23, 0},
+                                     {8, 15, 6, 23, 0},
+                                     {11, 15, 6, 150, 1}};
     for (const simd::Backend backend : backends) {
         simd::setBackendForTest(backend);
         const simd::Ops &v = simd::opsFor(backend);
@@ -367,9 +415,11 @@ TEST(BlockSparseSchur, MatchesPerRowAxpyReference)
             const std::size_t stride = shape[1];
             const std::size_t segment = shape[2];
             const std::size_t nk = n_blocks * stride;
-            const std::size_t m = 23;
+            const std::size_t m = shape[3];
             const SparseW w =
-                randomSparseW(n_blocks, stride, segment, m, rng);
+                shape[4] != 0
+                    ? randomWindowW(n_blocks, stride, segment, m, rng)
+                    : randomSparseW(n_blocks, stride, segment, m, rng);
             Vector bx(m), inv_u(m);
             for (std::size_t f = 0; f < m; ++f) {
                 bx[f] = rng.uniform(-1.0, 1.0);

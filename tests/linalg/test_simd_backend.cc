@@ -229,6 +229,44 @@ TEST(SimdPrimitives, AxpysMatchAxpyPerRowPerBackend)
     }
 }
 
+TEST(SimdPrimitives, RankUpdateMatchesAxpysPerTermPerBackend)
+{
+    // The rank-k update is its k axpys calls in term order, bit for bit:
+    // every register tile (6 x 6, 1 x 6, 15-wide rows in pairs and a
+    // single) and the per-term fallback, at every term count, row count
+    // and tail length, with strided rows whose gaps stay untouched.
+    Rng rng(110);
+    for (const simd::Backend backend : availableBackends()) {
+        const simd::Ops &ops = simd::opsFor(backend);
+        for (std::size_t k = 0; k <= 20; ++k)
+            for (std::size_t rows = 0; rows <= 16; ++rows)
+                for (std::size_t n = 0; n < 20; ++n) {
+                    const std::size_t ldh = n + 3;
+                    std::vector<std::vector<double>> alpha, x;
+                    std::vector<const double *> alpha_p, x_p;
+                    for (std::size_t t = 0; t < k; ++t) {
+                        alpha.push_back(randomSpan(rows, rng));
+                        x.push_back(randomSpan(n, rng));
+                    }
+                    for (std::size_t t = 0; t < k; ++t) {
+                        alpha_p.push_back(alpha[t].data());
+                        x_p.push_back(x[t].data());
+                    }
+                    auto h = randomSpan(rows * ldh + 1, rng);
+                    auto want = h;
+                    ops.rankUpdate(h.data(), ldh, alpha_p.data(), x_p.data(),
+                                   k, rows, n);
+                    for (std::size_t t = 0; t < k; ++t)
+                        ops.axpys(want.data(), ldh, alpha[t].data(), rows,
+                                  x[t].data(), n);
+                    for (std::size_t i = 0; i < h.size(); ++i)
+                        EXPECT_EQ(h[i], want[i])
+                            << ops.name << " k=" << k << " rows=" << rows
+                            << " n=" << n << " element " << i;
+                }
+    }
+}
+
 TEST(SimdPrimitives, SetBackendForTestInstallsAndReports)
 {
     BackendGuard guard;

@@ -116,16 +116,16 @@ TEST(VisualFactor, ResidualOnlyMatchesFullEvaluation)
     VisualFactorEval full;
     for (const Case &c : cases) {
         const PerfectScene &sc = c.sc;
-        evaluateVisualFactorInto(full, sc.camera, sc.anchor, sc.target,
-                                 keyframeRotation(sc.anchor),
-                                 keyframeRotation(sc.target), sc.bearing,
-                                 sc.inv_depth, sc.measurement);
+        const FeatureAnchor fa =
+            featureAnchor(sc.anchor, sc.bearing, sc.inv_depth);
+        const KeyframeRotation target_rot = keyframeRotation(sc.target);
+        evaluateVisualFactorInto(
+            full, sc.camera, fa, sc.target, target_rot,
+            target_rot.r_t * keyframeRotation(sc.anchor).r, sc.measurement);
         ASSERT_EQ(full.valid, c.valid) << c.what;
         Vec2 res;
-        const bool valid =
-            evaluateVisualResidual(res, sc.camera, sc.anchor, sc.target,
-                                   sc.bearing, sc.inv_depth,
-                                   sc.measurement);
+        const bool valid = evaluateVisualResidual(res, sc.camera, fa,
+                                                  sc.target, sc.measurement);
         ASSERT_EQ(valid, c.valid) << c.what;
         if (!valid)
             continue;

@@ -152,6 +152,54 @@ TEST(Marginalization, ChainsThroughOldPrior)
     EXPECT_TRUE(second.prior.information().isSymmetric(1e-6));
 }
 
+TEST(Marginalization, ReusedScratchGivesFreshBits)
+{
+    // One scratch serves every frame of an estimator. After a larger
+    // window (more features, a wider old prior), its buffers hold stale
+    // values of other shapes; a smaller window's prior must still come
+    // out bit for bit as with a fresh scratch.
+    Rng rng(9);
+    const MargScene big = makeScene(8, 60, rng);
+    const MargScene small = makeScene(5, 20, rng);
+    // Old priors over all but one keyframe (7 and 4), taken from each
+    // scene's own marginalization so that they deviate from the states.
+    const PriorFactor big_prior =
+        marginalizeOldestKeyframe(big.camera, big.keyframes, big.features,
+                                  big.preints[0], PriorFactor{}, 1.0)
+            .prior;
+    const PriorFactor small_prior =
+        marginalizeOldestKeyframe(small.camera, small.keyframes,
+                                  small.features, small.preints[0],
+                                  PriorFactor{}, 1.0)
+            .prior;
+
+    MarginalizationScratch reused;
+    (void)marginalizeOldestKeyframe(big.camera, big.keyframes, big.features,
+                                    big.preints[0], big_prior, 1.0, reused);
+    const auto got = marginalizeOldestKeyframe(
+        small.camera, small.keyframes, small.features, small.preints[0],
+        small_prior, 1.0, reused);
+    const auto want = marginalizeOldestKeyframe(
+        small.camera, small.keyframes, small.features, small.preints[0],
+        small_prior, 1.0);
+
+    EXPECT_EQ(got.marginalized_features, want.marginalized_features);
+    EXPECT_EQ(got.marginalized_dim, want.marginalized_dim);
+    const linalg::Matrix &h_got = got.prior.information();
+    const linalg::Matrix &h_want = want.prior.information();
+    ASSERT_EQ(h_got.rows(), h_want.rows());
+    ASSERT_EQ(h_got.cols(), h_want.cols());
+    for (std::size_t i = 0; i < h_got.rows(); ++i)
+        for (std::size_t j = 0; j < h_got.cols(); ++j)
+            EXPECT_EQ(h_got(i, j), h_want(i, j)) << "(" << i << ", " << j
+                                                 << ")";
+    const linalg::Vector &r_got = got.prior.informationVector();
+    const linalg::Vector &r_want = want.prior.informationVector();
+    ASSERT_EQ(r_got.size(), r_want.size());
+    for (std::size_t i = 0; i < r_got.size(); ++i)
+        EXPECT_EQ(r_got[i], r_want[i]) << i;
+}
+
 TEST(Marginalization, NeedsAtLeastTwoKeyframes)
 {
     if (!ARCHYTAS_CONTRACTS_ENABLED)

@@ -160,6 +160,36 @@ TEST(Prior, ReusedWorkGivesFreshBits)
         EXPECT_EQ(b_fresh[i], b_reused[i]) << i;
 }
 
+TEST(Prior, HdxMatchesSequentialRowSums)
+{
+    // H dx runs four rows side by side; each row must still be its own
+    // left-to-right sum, bit for bit, at every dimension (15 to 165,
+    // row counts that are and are not multiples of 4).
+    Rng rng(11);
+    for (std::size_t kf = 1; kf <= 11; ++kf) {
+        const std::size_t d = kf * kKeyframeDof;
+        std::vector<KeyframeState> lin, cur;
+        for (std::size_t i = 0; i < kf; ++i) {
+            lin.push_back(randomState(rng));
+            cur.push_back(randomState(rng));
+        }
+        linalg::Vector r(d);
+        for (std::size_t i = 0; i < d; ++i)
+            r[i] = rng.uniform(-1, 1);
+        const PriorFactor prior(randomSpd(d, rng), r, lin);
+        PriorWork work;
+        (void)prior.cost(cur, work);
+        ASSERT_EQ(work.hdx.size(), d);
+        const linalg::Matrix &h = prior.information();
+        for (std::size_t row = 0; row < d; ++row) {
+            double acc = 0.0;
+            for (std::size_t c = 0; c < d; ++c)
+                acc += h(row, c) * work.dx[c];
+            EXPECT_EQ(work.hdx[row], acc) << "dim " << d << " row " << row;
+        }
+    }
+}
+
 TEST(Prior, DimensionMismatchDies)
 {
     std::vector<KeyframeState> lin(2);
