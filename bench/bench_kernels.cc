@@ -3,18 +3,17 @@
  * Microbenchmarks of the computational kernels every experiment rests
  * on: dense multiply, Cholesky, the D-type Schur elimination, the
  * compacted S-matrix matvec, the MDFG window-graph build, the
- * synthesizer search, and the parallel window normal-equation assembly
- * at several thread counts. These quantify the *host-side* costs of the
- * framework (the accelerator itself is modelled in cycles). Runs on the
- * bench::BenchHarness (warmup + median-of-reps); `--json <path>` emits
- * the records for the CI perf-smoke step.
+ * synthesizer search, and the window normal-equation assembly. These
+ * quantify the *host-side* costs of the framework (the accelerator
+ * itself is modelled in cycles). Runs on the bench::BenchHarness (warmup
+ * + median-of-reps); `--json <path>` emits the records for the CI
+ * perf-smoke step.
  */
 
 #include <memory>
 #include <string>
 
 #include "bench_common.hh"
-#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "linalg/cholesky.hh"
 #include "linalg/kernels.hh"
@@ -194,10 +193,9 @@ makeBenchWindow(std::size_t n_keyframes, std::size_t n_landmarks, Rng &rng)
 }
 
 /**
- * Window normal-equation assembly at 1/2/4 pool threads. The assembled
- * system is bit-identical across thread counts (the determinism
- * contract); only the wall-clock changes. On a single-core host the
- * speedup metrics sit near (or below) 1.
+ * Window normal-equation assembly. The build is serial, so the pool
+ * size does not enter it; the `_t1` name is kept so records stay
+ * comparable across commits.
  */
 void
 benchWindowAssembly(bench::BenchHarness &h, double &sink)
@@ -206,30 +204,17 @@ benchWindowAssembly(bench::BenchHarness &h, double &sink)
     BenchWindow w = makeBenchWindow(10, 600, rng);
     slam::WindowProblem problem(w.camera, w.keyframes, w.features,
                                 w.preints, w.prior, /*pixel_sigma=*/1.0);
-    // The steady-state solver path: scratch-reusing, arena-backed build.
+    // The steady-state solver path: a scratch-reusing build.
     slam::NormalEquations eq;
     slam::AssemblyScratch scratch;
     const double obs =
         static_cast<double>(problem.observationCount());
-    double base_ms = 0.0;
-    for (const std::size_t threads : {1, 2, 4}) {
-        parallel::setThreadCount(threads);
-        const double ms =
-            h.run("window_assembly_t" + std::to_string(threads), [&] {
-                problem.build(eq, scratch, slam::BuildMode::kSolve);
-                sink += eq.cost;
-            });
-        if (threads == 1) {
-            base_ms = ms;
-            if (ms > 0.0)
-                h.metric("window_assembly_obs_per_ms", obs / ms);
-        } else {
-            h.metric("window_assembly_speedup_" +
-                         std::to_string(threads) + "t",
-                     base_ms / ms);
-        }
-    }
-    parallel::setThreadCount(0);   // Back to the ARCHYTAS_THREADS default.
+    const double ms = h.run("window_assembly_t1", [&] {
+        problem.build(eq, scratch, slam::BuildMode::kSolve);
+        sink += eq.cost;
+    });
+    if (ms > 0.0)
+        h.metric("window_assembly_obs_per_ms", obs / ms);
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -272,22 +273,6 @@ parallelFor(std::size_t begin, std::size_t end,
         const std::size_t e = std::min(end, b + grain);
         for (std::size_t i = b; i < e; ++i)
             body(i);
-    });
-}
-
-void
-parallelForChunks(std::size_t begin, std::size_t end, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)> &body)
-{
-    ARCHYTAS_ASSERT(grain > 0, "parallelForChunks: grain must be positive");
-    if (begin >= end)
-        return;
-    const std::size_t n = end - begin;
-    const std::size_t chunks = (n + grain - 1) / grain;
-    runTasks(chunks, [&](std::size_t c) {
-        const std::size_t b = begin + c * grain;
-        const std::size_t e = std::min(end, b + grain);
-        body(b, e);
     });
 }
 

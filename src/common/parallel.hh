@@ -7,16 +7,15 @@
  * primitives with a hard *determinism contract*: results are
  * bit-identical at any thread count, including 1.
  *
- *  - parallelFor / parallelForChunks: each index (or chunk) must write
- *    disjoint state. Because no two tasks touch the same output, the
- *    scheduling order cannot influence the result and determinism is
- *    automatic.
- *  - mapReduceOrdered: reductions. The range is cut into fixed-size
- *    chunks whose boundaries depend only on the range and the caller's
- *    grain -- never on the thread count -- each chunk accumulates into
- *    its own zero-initialized partial, and partials are merged
- *    *sequentially in chunk order* on the calling thread. Floating-point
- *    accumulation therefore always associates identically.
+ *  - runTasks / parallelFor: each task (or index) must write disjoint
+ *    state. Because no two tasks touch the same output, the scheduling
+ *    order cannot influence the result and determinism is automatic.
+ *
+ * There is no reduction primitive. A window's shared floating-point sums
+ * (V's pose blocks, the rhs, the cost) run serially inside its session
+ * in one fixed order; a caller that does reduce across tasks (the
+ * baseline mini solver's residual chunks) fixes its chunk boundaries
+ * itself and merges the chunk partials in chunk order.
  *
  * Interleaved sessions must reproduce solo serial runs bit for bit, so
  * this contract is non-negotiable; tests/slam/test_determinism.cc holds
@@ -24,27 +23,19 @@
  * the `raw-thread` lint rule (tools/archytas_lint.py).
  *
  * Nested parallel regions are guarded: a parallel primitive invoked from
- * inside a pool task runs inline on the calling thread (same chunking,
- * same merge order), so composing parallel layers can never deadlock the
- * pool and never changes results.
+ * inside a pool task runs inline on the calling thread, so composing
+ * parallel layers can never deadlock the pool and never changes results.
  *
  * Exceptions thrown by tasks are captured and rethrown to the caller;
- * when several chunks throw, the exception of the lowest-indexed chunk
+ * when several tasks throw, the exception of the lowest-indexed task
  * wins, so the reported failure is deterministic too.
  */
 
 #ifndef ARCHYTAS_COMMON_PARALLEL_HH
 #define ARCHYTAS_COMMON_PARALLEL_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <optional>
-#include <type_traits>
-#include <utility>
-#include <vector>
-
-#include "common/logging.hh"
 
 namespace archytas::parallel {
 
@@ -78,51 +69,6 @@ void runTasks(std::size_t n, const std::function<void(std::size_t)> &task);
  */
 void parallelFor(std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)> &body);
-
-/**
- * Chunked parallel loop: `body(b, e)` receives half-open sub-ranges of
- * [begin, end) of at most `grain` indices. Chunk boundaries depend only
- * on (begin, end, grain). Same disjoint-writes contract as parallelFor.
- */
-void parallelForChunks(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)> &body);
-
-/**
- * Deterministic chunked map-reduce over [begin, end).
- *
- *  - make() produces a zero partial (one per chunk);
- *  - accumulate(partial, i) folds index i into its chunk's partial;
- *  - merge(std::move(partial)) is invoked on the *calling* thread,
- *    sequentially, in increasing chunk order.
- *
- * Chunk boundaries depend only on (begin, end, grain), so the exact
- * association of every floating-point sum -- and hence the result bit
- * pattern -- is identical at any thread count.
- */
-template <typename MakeFn, typename AccumulateFn, typename MergeFn>
-void
-mapReduceOrdered(std::size_t begin, std::size_t end, std::size_t grain,
-                 MakeFn &&make, AccumulateFn &&accumulate, MergeFn &&merge)
-{
-    ARCHYTAS_ASSERT(grain > 0, "mapReduceOrdered: grain must be positive");
-    if (begin >= end)
-        return;
-    using Partial = std::decay_t<decltype(make())>;
-    const std::size_t n = end - begin;
-    const std::size_t chunks = (n + grain - 1) / grain;
-    std::vector<std::optional<Partial>> parts(chunks);
-    runTasks(chunks, [&](std::size_t c) {
-        Partial p = make();
-        const std::size_t b = begin + c * grain;
-        const std::size_t e = std::min(end, b + grain);
-        for (std::size_t i = b; i < e; ++i)
-            accumulate(p, i);
-        parts[c].emplace(std::move(p));
-    });
-    for (std::size_t c = 0; c < chunks; ++c)
-        merge(std::move(*parts[c]));
-}
 
 } // namespace archytas::parallel
 

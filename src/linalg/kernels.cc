@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/contracts.hh"
-#include "common/parallel.hh"
 #include "linalg/simd.hh"
 
 namespace archytas::linalg {
@@ -23,9 +22,6 @@ resizeMatrix(Matrix &out, std::size_t rows, std::size_t cols)
     // steady-state solver loop never hits.
     out = Matrix(rows, cols);
 }
-
-/** Work threshold (multiply-adds) below which threading cannot pay. */
-constexpr std::size_t kParallelFlopThreshold = 64 * 1024;
 
 /**
  * Rows (and rank-k terms) per batched-primitive call when a kernel needs
@@ -81,10 +77,8 @@ multiplyInto(Matrix &out, const Matrix &a, const Matrix &b)
     const std::size_t inner = a.cols();
     const std::size_t cols = b.cols();
     const simd::Ops &v = simd::ops();
-    const auto rowProduct = [&](std::size_t i) {
-        // i-k-j order keeps the inner loop streaming over contiguous
-        // rows; every out(i, j) is owned by exactly one task, so the
-        // schedule cannot change the result.
+    // i-k-j order keeps the inner loop streaming over contiguous rows.
+    for (std::size_t i = 0; i < a.rows(); ++i) {
         double *orow = out.rowPtr(i);
         const double *arow = a.rowPtr(i);
         for (std::size_t k = 0; k < inner; ++k) {
@@ -93,12 +87,7 @@ multiplyInto(Matrix &out, const Matrix &a, const Matrix &b)
                 continue;
             v.axpy(orow, av, b.rowPtr(k), cols);
         }
-    };
-    if (a.rows() * inner * cols >= kParallelFlopThreshold)
-        parallel::parallelFor(0, a.rows(), rowProduct);
-    else
-        for (std::size_t i = 0; i < a.rows(); ++i)
-            rowProduct(i);
+    }
 }
 
 void
@@ -147,16 +136,15 @@ subtractSymmetricProduct(Matrix &c, const Matrix &a, const Matrix &b)
                     "subtractSymmetricProduct: destination aliases an "
                     "operand");
     const simd::Ops &v = simd::ops();
-    const auto rowUpdate = [&](std::size_t i) {
-        // Upper triangle of row i plus the mirrored subtraction; the
-        // mirror element c(j, i) is written only by the task owning row
-        // i, so tasks write disjoint elements. Row i's dots come from
-        // one batched dots per kRowBatch rows of b: dot(b_j, a_i) is
-        // dot(a_i, b_j) bit for bit, because every product and fused
-        // multiply-add is commutative in its two factors.
+    double acc[kRowBatch];
+    for (std::size_t i = 0; i < n; ++i) {
+        // Upper triangle of row i plus the mirrored subtraction; each
+        // element is written once. Row i's dots come from one batched
+        // dots per kRowBatch rows of b: dot(b_j, a_i) is dot(a_i, b_j)
+        // bit for bit, because every product and fused multiply-add is
+        // commutative in its two factors.
         const double *ai = a.rowPtr(i);
         double *ci = c.rowPtr(i);
-        double acc[kRowBatch];
         for (std::size_t j0 = i; j0 < n; j0 += kRowBatch) {
             const std::size_t nr = std::min(kRowBatch, n - j0);
             v.dots(acc, b.rowPtr(j0), k, nr, ai, k);
@@ -167,13 +155,7 @@ subtractSymmetricProduct(Matrix &c, const Matrix &a, const Matrix &b)
                     c.rowPtr(j)[i] -= acc[jj];
             }
         }
-    };
-    // Half the n^2 k multiply-adds of the full product.
-    if (n * n * k / 2 >= kParallelFlopThreshold)
-        parallel::parallelFor(0, n, rowUpdate);
-    else
-        for (std::size_t i = 0; i < n; ++i)
-            rowUpdate(i);
+    }
 }
 
 void

@@ -7,15 +7,14 @@
  * caller-owned destination, exploit symmetry where the algebra
  * guarantees it, and never allocate beyond resizing the destination.
  *
- * Threading: kernels where every output element is computed entirely by
- * one task (row-parallel products) may use the pool internally; the
- * per-element arithmetic order is fixed, so they are deterministic at
- * any thread count (see common/parallel.hh).
+ * Every kernel runs serially on the calling thread, in a fixed
+ * per-element arithmetic order; parallelism lives above the kernels (one
+ * pool task per session), so results do not depend on the thread count.
  *
  * Inner loops run on the simd::ops() primitive table (linalg/simd.hh):
  * scalar or AVX2/FMA, selected once at startup. Results are bit-identical
- * at any thread count within a backend; across backends they agree to
- * rounding tolerance only. Each kernel keeps every element's operands,
+ * run to run within a backend; across backends they agree to rounding
+ * tolerance only. Each kernel keeps every element's operands,
  * term order and rounding when it routes a loop through a batched
  * primitive, so the batching moves no result.
  */
@@ -58,7 +57,7 @@ void subtractSymmetricProduct(Matrix &c, const Matrix &a, const Matrix &b);
 void addOuterProductTransposed(Matrix &h, std::size_t r0, std::size_t c0,
                                const Matrix &a, const Matrix &b, double wt);
 
-/** As above, accumulating into an arena-backed shard view. */
+/** As above, accumulating into an arena-backed view. */
 void addOuterProductTransposed(MatrixView &h, std::size_t r0,
                                std::size_t c0, const Matrix &a,
                                const Matrix &b, double wt);
@@ -72,7 +71,7 @@ void subtractTransposeApplyScaled(Vector &g, std::size_t r0,
                                   const Matrix &a, const double *x,
                                   double wt);
 
-/** As above into a raw segment of `gsize` entries (shard rhs). */
+/** As above into a raw segment of `gsize` entries (arena-backed rhs). */
 void subtractTransposeApplyScaled(double *g, std::size_t gsize,
                                   std::size_t r0, const Matrix &a,
                                   const double *x, double wt);

@@ -115,8 +115,8 @@ Matrix operator*(double s, Matrix m);
 
 /**
  * Non-owning row-major matrix view over caller-owned storage (arena
- * slices in the window-assembly shards). The caller guarantees the
- * pointed-to buffer outlives the view and holds rows*cols doubles.
+ * slices, such as marginalization's dense block). The caller guarantees
+ * the pointed-to buffer outlives the view and holds rows*cols doubles.
  */
 class MatrixView
 {

@@ -80,7 +80,7 @@ using SolveHook = std::function<void(linalg::Vector &, linalg::Vector &)>;
 struct SolverScratch
 {
     NormalEquations eq;       //!< Linearized system of the current step.
-    AssemblyScratch assembly; //!< Arena-backed window-assembly buffers.
+    AssemblyScratch assembly; //!< Window-assembly buffers.
     ReducedSystem rsys;       //!< Damped Schur reduction buffers.
     linalg::Matrix chol;      //!< Cholesky factor of the reduced system.
     linalg::Vector chol_y;    //!< Forward-substitution intermediate.

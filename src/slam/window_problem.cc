@@ -4,7 +4,6 @@
 
 #include "common/contracts.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "common/telemetry.hh"
 #include "linalg/kernels.hh"
 #include "linalg/schur.hh"
@@ -13,33 +12,6 @@
 namespace archytas::slam {
 
 namespace {
-
-/**
- * Target number of accumulation chunks. The old fixed grain of 16
- * features produced ~40 chunks on a 600-feature window, and the per-
- * chunk overhead (zeroing and merging two full nk x nk partials each)
- * outweighed the parallel win -- assembly ran *slower* at 2 and 4
- * threads than at 1. Sizing the grain so at most kAssemblyShards chunks
- * exist bounds that overhead independently of the feature count.
- */
-constexpr std::size_t kAssemblyShards = 8;
-
-/** Smallest chunk worth forking for (below this, merges dominate). */
-constexpr std::size_t kMinFeatureGrain = 32;
-
-/**
- * Features per accumulation chunk. Depends only on the feature count --
- * never on the thread count -- so the chunk boundaries and the merge
- * order of the floating-point partial sums are identical at any thread
- * count (common/parallel.hh determinism contract). build() and
- * evaluateCost() share this so their costs agree bit-for-bit.
- */
-std::size_t
-featureGrain(std::size_t m)
-{
-    const std::size_t target = (m + kAssemblyShards - 1) / kAssemblyShards;
-    return std::max(kMinFeatureGrain, target);
-}
 
 /** Reuses the destination's storage when the shape already matches. */
 void
@@ -60,36 +32,6 @@ prepareVector(linalg::Vector &out, std::size_t n)
         return;
     }
     out = linalg::Vector(n);
-}
-
-/**
- * dst += src for a pose-only visual partial: src packs the kPoseDof x
- * kPoseDof pose blocks of dst's kKeyframeDof-strided blocks. The other
- * rows and columns of the visual part are exact zeros, and a plain add
- * is the alpha = 1 axpy's single rounding, so dst ends with the bits a
- * full-size merge gives.
- */
-void
-addPoseBlocks(linalg::Matrix &dst, const linalg::MatrixView &src)
-{
-    const std::size_t nb = src.rows() / kPoseDof;
-    for (std::size_t r = 0; r < src.rows(); ++r) {
-        const double *srow = src.rowPtr(r);
-        double *drow =
-            dst.rowPtr(r / kPoseDof * kKeyframeDof + r % kPoseDof);
-        for (std::size_t bj = 0; bj < nb; ++bj)
-            for (std::size_t c = 0; c < kPoseDof; ++c)
-                drow[bj * kKeyframeDof + c] += srow[bj * kPoseDof + c];
-    }
-}
-
-/** As addPoseBlocks for a pose-only rhs partial of n entries. */
-void
-addPoseSegments(linalg::Vector &dst, const double *src, std::size_t n)
-{
-    double *d = dst.data().data();
-    for (std::size_t r = 0; r < n; ++r)
-        d[r / kPoseDof * kKeyframeDof + r % kPoseDof] += src[r];
 }
 
 /** Huber IRLS weight of one visual residual: quadratic inside delta,
@@ -144,6 +86,68 @@ supportEntry(const NormalEquations &eq, std::size_t s0, std::size_t s,
     return s;
 }
 
+/**
+ * Support pre-pass: records which keyframe blocks each feature's W
+ * column touches (anchor plus observed targets, sorted unique) and sizes
+ * w_blocks, zeroed, to those blocks' pose-row segments. The containers
+ * keep their storage across builds, so they grow only when a window
+ * outgrows every earlier one.
+ */
+void
+recordSupport(NormalEquations &eq, const std::vector<Feature> &features,
+              std::size_t nkf, std::vector<std::uint32_t> &blocks)
+{
+    eq.support_offsets.clear();
+    eq.support_blocks.clear();
+    eq.support_offsets.reserve(features.size() + 1);
+    eq.support_offsets.push_back(0);
+    for (const Feature &feat : features) {
+        ARCHYTAS_ASSERT(feat.anchor_index < nkf,
+                        "feature anchored outside window");
+        blocks.clear();
+        blocks.push_back(static_cast<std::uint32_t>(feat.anchor_index));
+        for (const auto &obs : feat.observations) {
+            if (obs.keyframe_index == feat.anchor_index)
+                continue;
+            ARCHYTAS_ASSERT(obs.keyframe_index < nkf,
+                            "observation outside window");
+            blocks.push_back(
+                static_cast<std::uint32_t>(obs.keyframe_index));
+        }
+        std::sort(blocks.begin(), blocks.end());
+        blocks.erase(std::unique(blocks.begin(), blocks.end()),
+                     blocks.end());
+        eq.support_blocks.insert(eq.support_blocks.end(), blocks.begin(),
+                                 blocks.end());
+        eq.support_offsets.push_back(
+            static_cast<std::uint32_t>(eq.support_blocks.size()));
+    }
+    eq.w_blocks.assign(eq.support_blocks.size() * kPoseDof, 0.0);
+}
+
+/**
+ * Rotation tables: R, R^T and -R^T once per keyframe, read by every
+ * visual factor anchored in or observed from it, and R_t^T R_a once per
+ * (target, anchor) pair, at [t * K + a] for K keyframes. The tables keep
+ * their storage across builds.
+ */
+void
+fillRotations(AssemblyScratch &scratch,
+              const std::vector<KeyframeState> &keyframes)
+{
+    const std::size_t nkf = keyframes.size();
+    std::vector<KeyframeRotation> &rot = scratch.rotations;
+    rot.resize(nkf);
+    for (std::size_t k = 0; k < nkf; ++k)
+        rot[k] = keyframeRotation(keyframes[k].pose);
+    std::vector<Mat3> &r_ta = scratch.relative_rotations;
+    r_ta.resize(nkf * nkf);
+    for (std::size_t t = 0; t < nkf; ++t)
+        for (std::size_t a = 0; a < nkf; ++a)
+            if (a != t)
+                r_ta[t * nkf + a] = rot[t].r_t * rot[a].r;
+}
+
 } // namespace
 
 WindowProblem::WindowProblem(
@@ -181,164 +185,76 @@ WindowProblem::build(NormalEquations &eq, AssemblyScratch &scratch,
     ARCHYTAS_SPAN("solver", "solver.jacobian");
     const std::size_t m = features_.size();
     const std::size_t nk = keyframeDim();
-    // Visual factors reach only the pose rows of a keyframe block, so the
-    // shards pack those: np = 6 K rows instead of nk = 15 K.
-    const std::size_t np = keyframes_.size() * kPoseDof;
+    const std::size_t nkf = keyframes_.size();
+    // kSolve builds leave the storage-study splits empty.
+    const std::size_t nsplit = mode == BuildMode::kFull ? nk : 0;
 
     prepareVector(eq.u_diag, m);
     prepareMatrix(eq.v, nk, nk);
     prepareVector(eq.bx, m);
     prepareVector(eq.by, nk);
-    if (mode == BuildMode::kFull) {
-        prepareMatrix(eq.v_camera, nk, nk);
-        prepareMatrix(eq.v_imu, nk, nk);
-    } else {
-        eq.v_camera = linalg::Matrix();
-        eq.v_imu = linalg::Matrix();
-    }
+    prepareMatrix(eq.v_camera, nsplit, nsplit);
+    prepareMatrix(eq.v_imu, nsplit, nsplit);
+    recordSupport(eq, features_, nkf, scratch.tmp_blocks);
+    fillRotations(scratch, keyframes_);
+    const auto &rot = scratch.rotations;
+    const auto &r_ta = scratch.relative_rotations;
 
-    // --- Support pre-pass (serial) ---
-    // Records which keyframe blocks each feature's W column touches
-    // (anchor plus observed targets, sorted unique): W is stored only as
-    // the pose-row segments of those blocks, which the parallel fill
-    // below accumulates into.
-    eq.support_offsets.clear();
-    eq.support_blocks.clear();
-    eq.support_offsets.reserve(m + 1);
-    eq.support_offsets.push_back(0);
-    std::vector<std::uint32_t> &blocks = scratch.tmp_blocks;
+    // --- Visual factors (serial, in feature and observation order) ---
+    // Feature f owns u_diag[f], bx[f] and its w_blocks segments. V's
+    // pose blocks, the rhs by and the cost are shared sums: every
+    // observation adds its terms to them directly, so each element sums
+    // its terms in one fixed order.
+    double *v = eq.v.rowPtr(0);
+    double *by = eq.by.data().data();
+    double cost = 0.0;
+    VisualFactorEval &ev = scratch.visual;
     for (std::size_t f = 0; f < m; ++f) {
         const Feature &feat = features_[f];
-        ARCHYTAS_ASSERT(feat.anchor_index < keyframes_.size(),
-                        "feature anchored outside window");
-        blocks.clear();
-        blocks.push_back(static_cast<std::uint32_t>(feat.anchor_index));
+        const std::size_t a_idx = feat.anchor_index;
+        const FeatureAnchor fa = featureAnchor(
+            keyframes_[a_idx].pose, feat.anchor_bearing, feat.inverse_depth);
+        if (!fa.valid)
+            continue; // Every observation would project badly.
+        const std::size_t s0 = eq.support_offsets[f];
+        double *w_anchor = eq.w_blocks.data() +
+                           supportEntry(eq, s0, s0, a_idx) * kPoseDof;
+        std::size_t cursor = s0;
         for (const auto &obs : feat.observations) {
-            if (obs.keyframe_index == feat.anchor_index)
+            const std::size_t t_idx = obs.keyframe_index;
+            if (t_idx == a_idx)
+                continue; // Anchor observation: no information.
+            evaluateVisualFactorInto(ev, camera_, fa, keyframes_[t_idx].pose,
+                                     rot[t_idx], r_ta[t_idx * nkf + a_idx],
+                                     obs.pixel);
+            if (!ev.valid)
                 continue;
-            ARCHYTAS_ASSERT(obs.keyframe_index < keyframes_.size(),
-                            "observation outside window");
-            blocks.push_back(
-                static_cast<std::uint32_t>(obs.keyframe_index));
+
+            const double res[2] = {ev.residual.u, ev.residual.v};
+            const double wt =
+                huberWeight(visual_weight_, huber_delta_, ev.residual);
+            cost += 0.5 * wt * (res[0] * res[0] + res[1] * res[1]);
+
+            // U (diagonal): j_depth^T j_depth, and bx.
+            const double jd0 = ev.j_depth.m[0];
+            const double jd1 = ev.j_depth.m[1];
+            eq.u_diag[f] += wt * (jd0 * jd0 + jd1 * jd1);
+            eq.bx[f] -= wt * (jd0 * res[0] + jd1 * res[1]);
+
+            // W: column f's anchor and target pose segments.
+            cursor = supportEntry(eq, s0, cursor, t_idx);
+            addVisualCoupling(w_anchor, 1, ev.j_anchor, ev.j_depth, wt);
+            addVisualCoupling(eq.w_blocks.data() + cursor * kPoseDof, 1,
+                              ev.j_target, ev.j_depth, wt);
+
+            // V's (a,a), (a,t), (t,a), (t,t) pose blocks and the pose rhs.
+            addVisualPoseBlocks(v, nk, by, a_idx * kKeyframeDof,
+                                t_idx * kKeyframeDof, ev, wt);
         }
-        std::sort(blocks.begin(), blocks.end());
-        blocks.erase(std::unique(blocks.begin(), blocks.end()),
-                     blocks.end());
-        eq.support_blocks.insert(eq.support_blocks.end(), blocks.begin(),
-                                 blocks.end());
-        eq.support_offsets.push_back(
-            static_cast<std::uint32_t>(eq.support_blocks.size()));
     }
-    eq.w_blocks.assign(eq.support_blocks.size() * kPoseDof, 0.0);
-
-    // --- Shard carving (serial; the arena is not thread-safe) ---
-    const std::size_t grain = featureGrain(m);
-    const std::size_t nchunks = m == 0 ? 0 : (m + grain - 1) / grain;
-    if (scratch.shards.size() != nchunks)
-        scratch.shards.resize(nchunks);
-    scratch.arena.reset();
-    for (std::size_t c = 0; c < nchunks; ++c) {
-        AssemblyShard &sh = scratch.shards[c];
-        sh.v = linalg::MatrixView(
-            scratch.arena.allocateArray<double>(np * np), np, np);
-        sh.by = scratch.arena.allocateArray<double>(np);
-        sh.v.setZero();
-        std::fill(sh.by, sh.by + np, 0.0);
-        sh.cost = 0.0;
-    }
-
-    // --- Keyframe rotations (serial): R, R^T and -R^T once per keyframe,
-    // read by every visual factor anchored in or observed from it, and
-    // R_t^T R_a once per (target, anchor) pair ---
-    const std::size_t nkf = keyframes_.size();
-    std::vector<KeyframeRotation> &rot = scratch.rotations;
-    rot.resize(nkf);
-    for (std::size_t k = 0; k < nkf; ++k)
-        rot[k] = keyframeRotation(keyframes_[k].pose);
-    std::vector<Mat3> &r_ta = scratch.relative_rotations;
-    r_ta.resize(nkf * nkf);
-    for (std::size_t t = 0; t < nkf; ++t)
-        for (std::size_t a = 0; a < nkf; ++a)
-            if (a != t)
-                r_ta[t * nkf + a] = rot[t].r_t * rot[a].r;
-
-    // --- Visual factors (parallel per-feature chunk) ---
-    // Feature f exclusively owns u_diag[f], bx[f] and its w_blocks
-    // segments, so chunk tasks write those into the shared system
-    // directly (disjoint writes). The pose blocks of V, the rhs
-    // by, and the cost are shared sums: each chunk accumulates into its
-    // own arena-backed pose-only shard and the shards merge sequentially
-    // in chunk order below, so the result is bit-identical at any thread
-    // count.
-    parallel::parallelForChunks(
-        0, m, grain, [&](std::size_t b, std::size_t e) {
-            AssemblyShard &sh = scratch.shards[b / grain];
-            for (std::size_t f = b; f < e; ++f) {
-                const Feature &feat = features_[f];
-                const std::size_t a_idx = feat.anchor_index;
-                const FeatureAnchor fa =
-                    featureAnchor(keyframes_[a_idx].pose,
-                                  feat.anchor_bearing, feat.inverse_depth);
-                if (!fa.valid)
-                    continue; // Every observation would project badly.
-                const std::size_t s0 = eq.support_offsets[f];
-                double *w_anchor =
-                    eq.w_blocks.data() +
-                    supportEntry(eq, s0, s0, a_idx) * kPoseDof;
-                std::size_t cursor = s0;
-                for (const auto &obs : feat.observations) {
-                    const std::size_t t_idx = obs.keyframe_index;
-                    if (t_idx == a_idx)
-                        continue; // Anchor observation: no information.
-                    evaluateVisualFactorInto(
-                        sh.ev, camera_, fa, keyframes_[t_idx].pose,
-                        rot[t_idx], r_ta[t_idx * nkf + a_idx], obs.pixel);
-                    const VisualFactorEval &ev = sh.ev;
-                    if (!ev.valid)
-                        continue;
-
-                    const double res[2] = {ev.residual.u, ev.residual.v};
-                    const double wt =
-                        huberWeight(visual_weight_, huber_delta_,
-                                    ev.residual);
-                    sh.cost +=
-                        0.5 * wt * (res[0] * res[0] + res[1] * res[1]);
-
-                    // U (diagonal): j_depth^T j_depth, and bx.
-                    const double jd0 = ev.j_depth.m[0];
-                    const double jd1 = ev.j_depth.m[1];
-                    eq.u_diag[f] += wt * (jd0 * jd0 + jd1 * jd1);
-                    eq.bx[f] -= wt * (jd0 * res[0] + jd1 * res[1]);
-
-                    // W: column f's anchor and target pose segments.
-                    cursor = supportEntry(eq, s0, cursor, t_idx);
-                    addVisualCoupling(w_anchor, 1, ev.j_anchor, ev.j_depth,
-                                      wt);
-                    addVisualCoupling(eq.w_blocks.data() +
-                                          cursor * kPoseDof,
-                                      1, ev.j_target, ev.j_depth, wt);
-
-                    // V's (a,a), (a,t), (t,a), (t,t) pose blocks and the
-                    // pose rhs, at the shard's 6-strided rows.
-                    addVisualPoseBlocks(sh.v.data(), np, sh.by,
-                                        a_idx * kPoseDof, t_idx * kPoseDof,
-                                        ev, wt);
-                }
-            }
-        });
-
-    // --- Ordered merge (chunk order == ascending feature order) ---
-    double cost = 0.0;
-    for (std::size_t c = 0; c < nchunks; ++c) {
-        const AssemblyShard &sh = scratch.shards[c];
-        addPoseBlocks(eq.v, sh.v);
-        addPoseSegments(eq.by, sh.by, np);
-        cost += sh.cost;
-        // The camera-only split receives exactly the visual-factor
-        // updates, which is precisely what the shards hold.
-        if (mode == BuildMode::kFull)
-            addPoseBlocks(eq.v_camera, sh.v);
-    }
+    // V holds exactly the visual terms here: the camera-only split.
+    if (mode == BuildMode::kFull)
+        eq.v_camera = eq.v;
 
     // --- IMU factors (adjacent keyframes only; serial, at most one per
     // pair, with hoisted evaluation and product scratch) ---
@@ -395,33 +311,27 @@ WindowProblem::evaluateCost() const
 double
 WindowProblem::evaluateCost(PriorWork &prior_work) const
 {
-    // Residuals only. Same fixed chunking and merge order as build(), so
-    // the two cost paths agree bit-for-bit at any thread count.
+    // Residuals only, with build()'s per-term expressions in build()'s
+    // order, so the two costs agree bit for bit.
     double cost = 0.0;
-    parallel::mapReduceOrdered(
-        0, features_.size(), featureGrain(features_.size()),
-        [] { return 0.0; },
-        [&](double &partial, std::size_t f) {
-            const Feature &feat = features_[f];
-            const FeatureAnchor fa =
-                featureAnchor(keyframes_[feat.anchor_index].pose,
-                              feat.anchor_bearing, feat.inverse_depth);
-            if (!fa.valid)
-                return; // Every observation would project badly.
-            for (const auto &obs : feat.observations) {
-                if (obs.keyframe_index == feat.anchor_index)
-                    continue;
-                Vec2 res;
-                if (!evaluateVisualResidual(
-                        res, camera_, fa,
-                        keyframes_[obs.keyframe_index].pose, obs.pixel))
-                    continue;
-                const double wt =
-                    huberWeight(visual_weight_, huber_delta_, res);
-                partial += 0.5 * wt * (res.u * res.u + res.v * res.v);
-            }
-        },
-        [&](double &&partial) { cost += partial; });
+    for (const Feature &feat : features_) {
+        const FeatureAnchor fa =
+            featureAnchor(keyframes_[feat.anchor_index].pose,
+                          feat.anchor_bearing, feat.inverse_depth);
+        if (!fa.valid)
+            continue; // Every observation would project badly.
+        for (const auto &obs : feat.observations) {
+            if (obs.keyframe_index == feat.anchor_index)
+                continue;
+            Vec2 res;
+            if (!evaluateVisualResidual(res, camera_, fa,
+                                        keyframes_[obs.keyframe_index].pose,
+                                        obs.pixel))
+                continue;
+            const double wt = huberWeight(visual_weight_, huber_delta_, res);
+            cost += 0.5 * wt * (res.u * res.u + res.v * res.v);
+        }
+    }
     for (std::size_t i = 0; i + 1 < keyframes_.size(); ++i) {
         if (!preints_[i] || preints_[i]->sampleCount() == 0)
             continue;

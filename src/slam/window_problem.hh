@@ -85,33 +85,15 @@ enum class BuildMode
 };
 
 /**
- * One parallel chunk's visual-factor accumulators for build(). Visual
- * factors reach only the pose rows of a keyframe block, so the partial
- * packs the kPoseDof x kPoseDof pose blocks: (6 K)^2 for K keyframes,
- * not (15 K)^2. The partial and rhs live in the owning scratch's arena
- * (carved serially before the parallel region; see common/arena.hh
- * ownership rules); the factor-evaluation buffers keep their heap
- * storage across frames.
- */
-struct AssemblyShard
-{
-    linalg::MatrixView v;  //!< Pose-pose partial (6 K x 6 K).
-    double *by = nullptr;  //!< Pose rhs partial (6 K entries).
-    double cost = 0.0;
-    VisualFactorEval ev;   //!< Reused per-observation evaluation.
-};
-
-/**
  * Reusable window-assembly buffers: one instance per estimator/session,
- * never shared between concurrently-building sessions. The arena is
- * reset and re-carved each build. A warmed-up scratch leaves build() a
- * few small heap allocations per call, and more when the window's shape
- * changes (docs/PERFORMANCE.md lists them).
+ * never shared between concurrently-building sessions. Every buffer
+ * keeps its storage across builds, so a warmed-up scratch leaves build()
+ * free of heap allocations until a window outgrows it
+ * (docs/PERFORMANCE.md lists what still allocates).
  */
 struct AssemblyScratch
 {
-    common::Arena arena;                   //!< Backs the shard views.
-    std::vector<AssemblyShard> shards;
+    VisualFactorEval visual;               //!< Reused visual evaluation.
     std::vector<std::uint32_t> tmp_blocks; //!< Support pre-pass buffer.
     /** Each keyframe's R, R^T and -R^T, computed once per build. */
     std::vector<KeyframeRotation> rotations;
@@ -203,10 +185,9 @@ class WindowProblem
 
     /**
      * Builds the blocked normal equations at the current states into eq,
-     * reusing the scratch's arena and shard buffers (allocation-free on
-     * the per-observation path once warmed up). Deterministic at any
-     * thread count: chunk boundaries depend only on the feature count
-     * and the per-chunk shards merge in chunk order.
+     * reusing eq's and the scratch's storage (allocation-free once
+     * warmed up). Serial: every shared sum -- V's pose blocks, by and
+     * the cost -- adds its terms in feature and observation order.
      */
     void build(NormalEquations &eq, AssemblyScratch &scratch,
                BuildMode mode) const;

@@ -37,10 +37,6 @@ TEST(Parallel, EmptyRangesRunNothing)
     parallelFor(5, 5, [&](std::size_t) { ++calls; });
     parallelFor(7, 2, [&](std::size_t) { ++calls; });
     runTasks(0, [&](std::size_t) { ++calls; });
-    parallelForChunks(3, 3, 8, [&](std::size_t, std::size_t) { ++calls; });
-    mapReduceOrdered(
-        4, 4, 2, [&] { ++calls; return 0; }, [&](int &, std::size_t) {},
-        [&](int &&) { ++calls; });
     EXPECT_EQ(calls.load(), 0);
 }
 
@@ -64,25 +60,6 @@ TEST(Parallel, RunTasksCoversEveryTaskExactlyOnce)
     runTasks(n, [&](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "task " << i;
-}
-
-TEST(Parallel, ChunkBoundariesDependOnlyOnRangeAndGrain)
-{
-    PoolSizeGuard guard;
-    for (const std::size_t threads : {1, 2, 8}) {
-        setThreadCount(threads);
-        std::vector<std::pair<std::size_t, std::size_t>> chunks(4);
-        std::atomic<std::size_t> count{0};
-        parallelForChunks(10, 47, 10,
-                          [&](std::size_t b, std::size_t e) {
-                              chunks.at((b - 10) / 10) = {b, e};
-                              ++count;
-                          });
-        EXPECT_EQ(count.load(), 4u);
-        const std::vector<std::pair<std::size_t, std::size_t>> want{
-            {10, 20}, {20, 30}, {30, 40}, {40, 47}};
-        EXPECT_EQ(chunks, want) << "threads=" << threads;
-    }
 }
 
 TEST(Parallel, ExceptionPropagatesLowestTaskIndex)
@@ -135,80 +112,6 @@ TEST(Parallel, NestedParallelRunsInline)
     EXPECT_FALSE(inParallelRegion());
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << "slot " << i;
-}
-
-/**
- * The determinism contract itself: a floating-point reduction whose
- * terms are crafted to expose reassociation (alternating huge and tiny
- * magnitudes) must produce the same bit pattern at every thread count.
- */
-TEST(Parallel, MapReduceBitIdenticalAcrossThreadCounts)
-{
-    PoolSizeGuard guard;
-    const std::size_t n = 1337;
-    const auto term = [](std::size_t i) {
-        const double x = static_cast<double>(i % 7) - 3.0;
-        return (i % 2 ? 1e12 : 1e-9) * x +
-               1.0 / (1.0 + static_cast<double>(i));
-    };
-    const auto reduce = [&] {
-        double total = 0.0;
-        mapReduceOrdered(
-            0, n, 16, [] { return 0.0; },
-            [&](double &partial, std::size_t i) { partial += term(i); },
-            [&](double &&partial) { total += partial; });
-        return total;
-    };
-
-    setThreadCount(1);
-    const double t1 = reduce();
-    setThreadCount(2);
-    const double t2 = reduce();
-    setThreadCount(8);
-    const double t8 = reduce();
-
-    // Exact equality on purpose: the contract is bit-identity, not
-    // closeness.
-    EXPECT_EQ(t1, t2);
-    EXPECT_EQ(t1, t8);
-}
-
-TEST(Parallel, MapReduceMatchesExplicitChunkedSerial)
-{
-    PoolSizeGuard guard;
-    setThreadCount(8);
-    const std::size_t n = 100, grain = 16;
-    double got = 0.0;
-    mapReduceOrdered(
-        0, n, grain, [] { return 0.0; },
-        [](double &p, std::size_t i) {
-            p += 1.0 / (1.0 + static_cast<double>(i));
-        },
-        [&](double &&p) { got += p; });
-
-    double want = 0.0;
-    for (std::size_t b = 0; b < n; b += grain) {
-        double partial = 0.0;
-        for (std::size_t i = b; i < std::min(n, b + grain); ++i)
-            partial += 1.0 / (1.0 + static_cast<double>(i));
-        want += partial;
-    }
-    EXPECT_EQ(got, want);
-}
-
-TEST(Parallel, MapReducePropagatesAccumulateException)
-{
-    PoolSizeGuard guard;
-    setThreadCount(4);
-    EXPECT_THROW(
-        mapReduceOrdered(
-            0, 100, 8, [] { return 0; },
-            [](int &, std::size_t i) {
-                if (i == 42)
-                    throw std::runtime_error("accumulate");
-            },
-            [](int &&) {}),
-        std::runtime_error);
 }
 
 } // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "linalg/kernels.hh"
 #include "linalg/matrix.hh"
@@ -50,25 +49,6 @@ TEST(Kernels, MultiplyIntoReusesDestination)
     Matrix out = randomMatrix(6, 6, rng);   // Stale same-shape contents.
     multiplyInto(out, a, b);
     EXPECT_LT(maxAbsDiff(out, a * b), 1e-12);
-}
-
-TEST(Kernels, MultiplyIntoParallelPathBitMatchesSerial)
-{
-    // Large enough to cross the internal parallel threshold. Every
-    // output element is computed wholly by one task in a fixed
-    // arithmetic order, so the result is bit-identical at any thread
-    // count.
-    Rng rng(13);
-    const Matrix a = randomMatrix(80, 80, rng);
-    const Matrix b = randomMatrix(80, 80, rng);
-    parallel::setThreadCount(1);
-    Matrix serial;
-    multiplyInto(serial, a, b);
-    parallel::setThreadCount(8);
-    Matrix parallel_out;
-    multiplyInto(parallel_out, a, b);
-    parallel::setThreadCount(0);
-    EXPECT_EQ(maxAbsDiff(serial, parallel_out), 0.0);
 }
 
 TEST(Kernels, MultiplyIntoVectorMatchesOperator)
@@ -129,21 +109,6 @@ TEST(Kernels, SubtractSymmetricProductMatchesNaive)
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j)
             EXPECT_EQ(c(i, j), c(j, i));
-}
-
-TEST(Kernels, SubtractSymmetricProductParallelBitMatchesSerial)
-{
-    Rng rng(17);
-    const std::size_t n = 90, k = 40;   // Crosses the parallel threshold.
-    const Matrix b = randomMatrix(n, k, rng);
-    const Matrix a = b;   // a b^T = b b^T, symmetric.
-    Matrix c1(n, n), c8(n, n);
-    parallel::setThreadCount(1);
-    subtractSymmetricProduct(c1, a, b);
-    parallel::setThreadCount(8);
-    subtractSymmetricProduct(c8, a, b);
-    parallel::setThreadCount(0);
-    EXPECT_EQ(maxAbsDiff(c1, c8), 0.0);
 }
 
 TEST(Kernels, AddOuterProductTransposedAccumulatesBlock)

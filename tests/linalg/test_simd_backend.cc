@@ -308,10 +308,9 @@ struct KernelSuiteResults
 
 /**
  * Runs every kernel on deterministic inputs (fixed seeds) under the
- * *currently installed* backend and pool size. The matrix shapes put
- * multiplyInto and subtractSymmetricProduct over the internal
- * parallelization threshold so thread-count bit-identity is actually
- * exercised, not vacuous.
+ * *currently installed* backend and pool size. The kernels run serially
+ * (linalg/kernels.hh), so comparing pool sizes pins that no kernel's
+ * result depends on the thread count.
  */
 KernelSuiteResults
 runKernelSuite()
@@ -343,8 +342,8 @@ runKernelSuite()
     addOuterProductTransposed(r.outer, 3, 5, ja, jb, 1.7);
 
     r.outer_view = Matrix(12, 12);
-    MatrixView shard(r.outer_view.data().data(), 12, 12);
-    addOuterProductTransposed(shard, 3, 5, ja, jb, 1.7);
+    MatrixView view(r.outer_view.data().data(), 12, 12);
+    addOuterProductTransposed(view, 3, 5, ja, jb, 1.7);
 
     const double residual[2] = {0.31, -0.64};
     r.grad = Vector(12);

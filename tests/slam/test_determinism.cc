@@ -1,10 +1,12 @@
 /**
  * @file
- * The determinism contract, end to end: the parallel layer's fixed
- * chunking + ordered merge must make every product of the pipeline --
- * assembled normal equations, solver costs, estimator trajectories --
- * bit-identical at any thread count. This is what lets the hw simulator
- * stay bit-checked against the software solver while both run parallel.
+ * The determinism contract, end to end: every product of the pipeline
+ * -- assembled normal equations, solver costs, estimator trajectories --
+ * must be bit-identical at any thread count. Each window's shared sums
+ * run serially in one fixed order, and the pool only runs tasks that
+ * write disjoint state. This is what lets the hw simulator stay
+ * bit-checked against the software solver while sessions run in
+ * parallel.
  */
 
 #include <gtest/gtest.h>
@@ -125,16 +127,16 @@ TEST(Determinism, WindowBuildBitIdenticalAcrossThreadCounts)
     EXPECT_EQ(maxAbsDiff(eq1.by, eq8.by), 0.0);
     EXPECT_EQ(eq1.cost, eq8.cost);
     EXPECT_EQ(cost1, cost8);
-    // build() and evaluateCost() share chunking, so they agree too.
+    // build() and evaluateCost() sum the same terms in the same order,
+    // so they agree too.
     EXPECT_EQ(eq1.cost, cost1);
 }
 
 TEST(Determinism, WindowBuildBitIdenticalPerBackendAndThreadCount)
 {
     // The per-backend contract: within either kernel backend, the
-    // scratch-reusing arena-backed assembly (the steady-state solver
-    // path) is bit-identical at every thread count, support structure
-    // included. Cross-backend equality is NOT asserted -- the AVX2
+    // scratch-reusing assembly (the steady-state solver path) is
+    // bit-identical at every thread count, support structure included. Cross-backend equality is NOT asserted -- the AVX2
     // reductions associate differently (see test_simd_backend.cc).
     PoolSizeGuard guard;
     const linalg::simd::Backend startup = linalg::simd::activeBackend();
@@ -161,7 +163,7 @@ TEST(Determinism, WindowBuildBitIdenticalPerBackendAndThreadCount)
             parallel::setThreadCount(threads);
             NormalEquations eq;
             AssemblyScratch scratch;
-            // Build twice: the second pass runs on a warmed arena and
+            // Build twice: the second pass runs on warmed buffers and
             // must reproduce the first bit for bit.
             problem.build(eq, scratch, BuildMode::kFull);
             problem.build(eq, scratch, BuildMode::kFull);

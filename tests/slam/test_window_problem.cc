@@ -217,18 +217,25 @@ TEST(WindowProblem, CameraContributionHasPoseOnlyPattern)
                 }
 }
 
-TEST(WindowProblem, SupportSegmentsSumEachObservationInOrder)
+/**
+ * Builds a window of n_keyframes and n_landmarks and checks that every
+ * visual term reaches the normal equations, and both costs, in feature
+ * and observation order.
+ */
+void
+expectVisualTermsSummedInOrder(std::size_t n_keyframes,
+                               std::size_t n_landmarks, std::uint64_t seed)
 {
-    Rng rng(31);
-    TestWindow w = makeWindow(5, 25, 0.5, rng);
+    Rng rng(seed);
+    TestWindow w = makeWindow(n_keyframes, n_landmarks, 0.5, rng);
     // Re-anchor some features later in the window so the support spans
     // blocks other than keyframe 0.
     for (std::size_t f = 0; f < w.features.size(); f += 3)
         w.features[f].anchor_index = 2;
     const double sigma = 2.0;
     // Null preintegrations and no prior: V, by and the cost then hold
-    // the visual factors alone. 25 features make one assembly chunk, so
-    // the shard merge adds each of those sums to zero exactly once.
+    // the visual factors alone, each element summing its terms in
+    // feature and observation order.
     const std::vector<std::shared_ptr<ImuPreintegration>> no_imu(
         w.keyframes.size() - 1);
     ASSERT_TRUE(w.prior.empty());
@@ -335,6 +342,22 @@ TEST(WindowProblem, SupportSegmentsSumEachObservationInOrder)
         EXPECT_EQ(eq.by[r], by_ref[r]) << "by[" << r << "]";
     }
     EXPECT_EQ(eq.cost, cost_ref);
+    EXPECT_EQ(problem.evaluateCost(), cost_ref);
+}
+
+TEST(WindowProblem, SupportSegmentsSumEachObservationInOrder)
+{
+    {
+        SCOPED_TRACE("5 keyframes, 25 features");
+        expectVisualTermsSummedInOrder(5, 25, 31);
+    }
+    {
+        // About a solo window's size: an assembly that summed feature
+        // chunks separately and then merged them would round
+        // differently here.
+        SCOPED_TRACE("11 keyframes, 150 features");
+        expectVisualTermsSummedInOrder(11, 150, 32);
+    }
 }
 
 TEST(WindowProblem, FullySupportedWindowMatchesDenseElimination)

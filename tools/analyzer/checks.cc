@@ -225,7 +225,8 @@ checkDeterminism(const AnalysisContext &ctx, const SourceFile &f,
 }
 
 // ---------------------------------------------------------------------
-// hot-path-alloc: heap allocation in solver kernels and pool lambdas.
+// hot-path-alloc: heap allocation in solver kernels, the window's
+// assembly and cost loops, and pool lambdas.
 // ---------------------------------------------------------------------
 
 void
@@ -244,6 +245,14 @@ checkHotPathAlloc(const SourceFile &f, std::vector<Finding> &findings)
         f.path == "src/linalg/kernels_avx2.cc" ||
         f.path == "src/linalg/simd.cc")
         hot.push_back({0, t.size()});
+    // The window's assembly and cost evaluation run serially once or
+    // more per LM iteration of every session, so their bodies are hot
+    // too (FunctionDef::name is unqualified: WindowProblem::build).
+    if (f.path == "src/slam/window_problem.cc")
+        for (const FunctionDef &fn : f.scopes.functions)
+            if (!fn.is_declaration &&
+                (fn.name == "build" || fn.name == "evaluateCost"))
+                hot.push_back(fn.body);
     for (const LambdaInfo &lam : f.scopes.lambdas)
         if (lam.hot)
             hot.push_back(lam.body);
@@ -449,9 +458,9 @@ checkStyle(const SourceFile &f, std::vector<Finding> &findings)
             add(findings, f, "raw-thread", t[i].line, t[i].col,
                 "raw std::" + x +
                     "; route parallelism through archytas::parallel "
-                    "(common/parallel.hh) so fixed chunking and "
-                    "ordered merges keep results bit-identical at "
-                    "any thread count");
+                    "(common/parallel.hh) so disjoint-write tasks "
+                    "keep results bit-identical at any thread "
+                    "count");
         }
         if (io_checked) {
             if ((x == "cout" || x == "cerr") && prev &&
@@ -834,8 +843,9 @@ ruleCatalogue()
          "deterministic pool"},
         {"hot-path-alloc",
          "No heap allocation in solver kernels (linalg/kernels.cc, "
-         "kernels_avx2.cc, simd.cc), functions taking an Arena&, or "
-         "lambdas handed to parallelFor/parallelForChunks/runTasks"},
+         "kernels_avx2.cc, simd.cc), WindowProblem::build and "
+         "evaluateCost, functions taking an Arena&, or lambdas handed "
+         "to parallelFor/runTasks"},
         {"layering",
          "Module includes must follow the DAG common <- linalg <- "
          "{hw, mdfg, dataset} <- {slam, baseline} <- {synth, runtime} "

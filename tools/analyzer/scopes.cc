@@ -121,8 +121,7 @@ declaredName(const std::vector<Token> &t, std::size_t type_idx)
 bool
 isPoolEntryPoint(const std::string &name)
 {
-    return name == "parallelFor" || name == "parallelForChunks" ||
-           name == "runTasks";
+    return name == "parallelFor" || name == "runTasks";
 }
 
 } // namespace

@@ -32,7 +32,7 @@ struct LambdaInfo {
     std::size_t intro = 0; // index of the '[' token
     TokenRange body;       // inside the braces, braces excluded
     std::string name;      // "" unless bound as `auto name = [...]`
-    bool hot = false;      // passed to parallelFor/ForChunks/runTasks
+    bool hot = false;      // passed to parallelFor/runTasks
 };
 
 struct FunctionDef {
