@@ -164,6 +164,7 @@ avx2Axpy(double *y, double alpha, const double *x, std::size_t n)
         y[i] = std::fma(alpha, x[i], y[i]);
 }
 
+/** One axpy per row of h, row r scaled by alpha[r]. */
 void
 avx2Axpys(double *h, std::size_t ldh, const double *alpha,
           std::size_t rows, const double *x, std::size_t n)
@@ -248,8 +249,9 @@ avx2RankUpdate(double *h, std::size_t ldh, const double *const *alpha,
                std::size_t n)
 {
     // Register tiles for the solver's shapes: the 6 x 6 pose blocks and
-    // 6-entry rhs segments of the Schur elimination, and the IMU's
-    // 15-wide rows two at a time. Any other shape runs term by term.
+    // 6-entry rhs segments of the visual factors and the Schur
+    // elimination, and the IMU's 15-wide rows two at a time. Any other
+    // shape runs term by term.
     if (n == 6 && rows == 6) {
         rankTile<6, 6>(h, ldh, alpha, 0, x, k);
         return;
@@ -270,8 +272,8 @@ avx2RankUpdate(double *h, std::size_t ldh, const double *const *alpha,
         avx2Axpys(h, ldh, alpha[t], rows, x[t], n);
 }
 
-constexpr Ops kAvx2Ops = {"avx2",    avx2Dot,   avx2Axpy,
-                          avx2Dots,  avx2Axpys, avx2RankUpdate};
+constexpr Ops kAvx2Ops = {"avx2", avx2Dot, avx2Axpy, avx2Dots,
+                          avx2RankUpdate};
 
 } // namespace
 

@@ -44,6 +44,7 @@ scalarDots(double *out, const double *a, std::size_t lda, std::size_t rows,
         out[r] = scalarDot(a + r * lda, b, n);
 }
 
+/** One axpy per row of h, row r scaled by alpha[r]. */
 void
 scalarAxpys(double *h, std::size_t ldh, const double *alpha,
             std::size_t rows, const double *x, std::size_t n)
@@ -61,8 +62,8 @@ scalarRankUpdate(double *h, std::size_t ldh, const double *const *alpha,
         scalarAxpys(h, ldh, alpha[t], rows, x[t], n);
 }
 
-constexpr Ops kScalarOps = {"scalar",    scalarDot,   scalarAxpy,
-                            scalarDots,  scalarAxpys, scalarRankUpdate};
+constexpr Ops kScalarOps = {"scalar", scalarDot, scalarAxpy, scalarDots,
+                            scalarRankUpdate};
 
 // archytas-analyzer: allow(global-state) -- the once-per-process backend
 // selection the header documents: written exactly once at startup (or by

@@ -3,9 +3,9 @@
  * SIMD backend selection for the dense hot-path kernels
  * (docs/PERFORMANCE.md). The kernels in kernels.cc / cholesky.cc /
  * schur.cc and the window assembly express their inner loops through two
- * contiguous-span primitives (dot and axpy), their row-batched forms
- * (dots and axpys) and one ordered rank-k update (rankUpdate, k axpys
- * calls on one tile); this header publishes the primitive table and the
+ * contiguous-span primitives (dot and axpy), the row-batched dot (dots)
+ * and one ordered rank-k update (rankUpdate: one axpy per row and term
+ * on one tile); this header publishes the primitive table and the
  * once-at-startup backend selection that fills it.
  *
  * Selection happens exactly once per process, from the `ARCHYTAS_SIMD`
@@ -17,12 +17,12 @@
  * are bit-identical at any `ARCHYTAS_THREADS` *within* a backend. The
  * AVX2 reductions associate differently from the scalar ones, so
  * cross-backend comparisons are tolerance-based (see
- * tests/linalg/test_simd_backend.cc). Within a backend, each row of a
- * batched primitive is bit for bit the level-1 primitive on that row,
- * and rankUpdate is bit for bit its k axpys calls in term order: the
- * batch shares loads and keeps outputs in registers, never changes an
- * element's arithmetic, so routing a per-row or per-term loop through
- * dots/axpys/rankUpdate cannot move a result.
+ * tests/linalg/test_simd_backend.cc). Within a backend, each row of
+ * dots is bit for bit dot on that row, and rankUpdate is bit for bit
+ * one axpy per row and term, terms in order: the batch shares loads and
+ * keeps outputs in registers, never changes an element's arithmetic, so
+ * routing a per-row or per-term loop through dots or rankUpdate cannot
+ * move a result.
  */
 
 #ifndef ARCHYTAS_LINALG_SIMD_HH
@@ -44,8 +44,8 @@ enum class Backend
  * All pointers must be non-null. dot only reads, so a may equal b;
  * axpy's y must not overlap x. The batched forms take a row-major
  * operand with leading dimension lda/ldh (at least n): their outputs
- * must not overlap any input, and axpys' and rankUpdate's rows must not
- * overlap each other.
+ * must not overlap any input, and rankUpdate's rows must not overlap
+ * each other.
  */
 struct Ops
 {
@@ -57,13 +57,11 @@ struct Ops
     /** out[r] = dot(a + r * lda, b, n) for r < rows. */
     void (*dots)(double *out, const double *a, std::size_t lda,
                  std::size_t rows, const double *b, std::size_t n);
-    /** axpy(h + r * ldh, alpha[r], x, n) for r < rows, in row order. */
-    void (*axpys)(double *h, std::size_t ldh, const double *alpha,
-                  std::size_t rows, const double *x, std::size_t n);
     /**
-     * axpys(h, ldh, alpha[t], rows, x[t], n) for t < k, in term order:
-     * the rows x n tile at h takes k rank-1 terms, each alpha[t] holding
-     * rows scales and each x[t] n entries. Neither may overlap the tile.
+     * axpy(h + r * ldh, alpha[t][r], x[t], n) for r < rows, for t < k
+     * in term order: the rows x n tile at h takes k rank-1 terms, each
+     * alpha[t] holding rows scales and each x[t] n entries. Neither may
+     * overlap the tile.
      */
     void (*rankUpdate)(double *h, std::size_t ldh,
                        const double *const *alpha, const double *const *x,

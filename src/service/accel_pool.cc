@@ -28,14 +28,6 @@ AcceleratorPool::acquire(double request_s, double busy_s)
     return grant;
 }
 
-double
-AcceleratorPool::slotFreeTime(std::size_t slot) const
-{
-    ARCHYTAS_CHECK_BOUNDS("AcceleratorPool::slotFreeTime", slot,
-                          free_at_.size());
-    return free_at_[slot];
-}
-
 AdmissionController::AdmissionController(std::size_t max_active,
                                          std::size_t max_queued)
     : max_active_(max_active), max_queued_(max_queued),

@@ -49,8 +49,6 @@ class AcceleratorPool
      */
     SlotGrant acquire(double request_s, double busy_s);
 
-    double slotFreeTime(std::size_t slot) const;
-
   private:
     std::vector<double> free_at_;
 };

@@ -147,6 +147,25 @@ LocalizationService::run()
 #endif
     }
 
+    // Parallel numeric phase: every session that admission did not
+    // reject steps to its last frame, one pool task per session (the
+    // session shard), so each session's dense buffers stay warm in one
+    // core's cache from frame to frame. Rejections are decided at
+    // announcement and never depend on completions, so every step
+    // buffer is sized before the pool region; a rejected session's
+    // stays empty and its task steps nothing. Sessions write disjoint
+    // state, and nested parallel regions run inline, so the
+    // trajectories cannot depend on the interleaving.
+    std::vector<std::vector<SessionStep>> steps(sessions_.size());
+    for (std::size_t id = 0; id < sessions_.size(); ++id) {
+        if (!report.sessions[id].rejected)
+            steps[id].resize(sessions_[id]->frameCount());
+    }
+    parallel::runTasks(sessions_.size(), [&](std::size_t id) {
+        for (SessionStep &step : steps[id])
+            step = sessions_[id]->stepFrame();
+    });
+
     /** A session holding an admission token. */
     struct Active
     {
@@ -155,6 +174,8 @@ LocalizationService::run()
         /** Completion of the session's previous frame (its own frames
          *  are processed in order). */
         double prev_complete_s = 0.0;
+        /** The session's next frame to place on the timeline. */
+        std::size_t next_frame = 0;
     };
     std::vector<Active> active;
 
@@ -174,25 +195,19 @@ LocalizationService::run()
     };
     admitAvailable();
 
-    std::vector<SessionStep> steps;
+    // Serial scheduling phase, round by round: each active session's
+    // next recorded step is placed on the simulated timeline in
+    // (request time, session id) order so slot grants are
+    // deterministically fair.
     while (!active.empty()) {
         ARCHYTAS_GAUGE_SET("service.active_sessions",
                            static_cast<double>(active.size()));
 
-        // Parallel numeric phase: one pool task per active session (the
-        // session shard). Sessions write disjoint state, and nested
-        // parallel regions run inline, so the trajectories cannot
-        // depend on the interleaving.
-        steps.assign(active.size(), SessionStep{});
-        parallel::runTasks(active.size(), [&](std::size_t i) {
-            steps[i] = sessions_[active[i].id]->stepFrame();
-        });
-
-        // Serial scheduling phase: place the stepped frames on the
-        // simulated timeline in (request time, session id) order so
-        // slot grants are deterministically fair.
+        const auto stepOf = [&](std::size_t i) -> const SessionStep & {
+            return steps[active[i].id][active[i].next_frame];
+        };
         const auto requestTime = [&](std::size_t i) {
-            return std::max(active[i].admit_s + steps[i].frame_offset_s,
+            return std::max(active[i].admit_s + stepOf(i).frame_offset_s,
                             active[i].prev_complete_s);
         };
         std::vector<std::size_t> order(active.size());
@@ -209,10 +224,10 @@ LocalizationService::run()
 
         for (const std::size_t i : order) {
             Active &s = active[i];
-            const SessionStep &step = steps[i];
+            const SessionStep &step = stepOf(i);
             RobotSession &session = *sessions_[s.id];
             const auto frame_index =
-                static_cast<std::uint32_t>(session.frameIndex() - 1);
+                static_cast<std::uint32_t>(s.next_frame);
             // Same causal identity the numeric phase used, so the
             // scheduling span lands on the session's track and the flow
             // arc opened in stepFrame closes here.
@@ -278,6 +293,7 @@ LocalizationService::run()
                     step.frame.health.solver_diverged);
             }
             s.prev_complete_s = complete;
+            ++s.next_frame;
             ARCHYTAS_COUNT_ADD("service.frames", 1);
             ARCHYTAS_FLOW_END("service", "trace.frame");
             ARCHYTAS_COUNT_ADD("trace.frames_linked", 1);
@@ -290,7 +306,7 @@ LocalizationService::run()
         still.reserve(active.size());
         std::vector<std::pair<double, std::size_t>> finished;
         for (const Active &s : active) {
-            if (sessions_[s.id]->finished())
+            if (s.next_frame == steps[s.id].size())
                 finished.emplace_back(s.prev_complete_s, s.id);
             else
                 still.push_back(s);

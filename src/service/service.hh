@@ -2,20 +2,21 @@
  * @file
  * The multi-robot localization service (docs/SERVICE.md): multiplexes N
  * concurrent robot sessions over one process, one compute pool, and a
- * shared set of simulated accelerators. The run loop alternates two
- * phases per round:
+ * shared set of simulated accelerators. run() has two phases:
  *
- *  - a parallel *numeric* phase: every active session steps one frame
- *    via parallel::runTasks (one task per session -- the session
- *    shard). Sessions own all their mutable state, and nested parallel
- *    regions run inline, so per-session numerics are bit-identical to
- *    a serial run at any ARCHYTAS_THREADS;
- *  - a serial *scheduling* phase: the stepped frames are placed on the
- *    simulated timeline in (request time, session id) order --
- *    admission waits, host-link transactions, accelerator-slot
- *    queueing -- producing the latency distribution. Scheduling
- *    consumes only numbers already fixed by the numeric phase, so it
- *    can never feed back into the trajectories.
+ *  - a parallel *numeric* phase: every session that admission did not
+ *    reject steps all of its frames in one parallel::runTasks task
+ *    (one task per session -- the session shard), recording each step.
+ *    Sessions own all their mutable state, and nested parallel regions
+ *    run inline, so per-session numerics are bit-identical to a serial
+ *    run at any ARCHYTAS_THREADS;
+ *  - a serial *scheduling* phase: round by round, each active session's
+ *    next recorded step is placed on the simulated timeline in
+ *    (request time, session id) order -- admission waits, host-link
+ *    transactions, accelerator-slot queueing -- producing the latency
+ *    distribution. Scheduling consumes only numbers already fixed by
+ *    the numeric phase, so it can never feed back into the
+ *    trajectories.
  *
  * That phase split is the service's determinism contract: thread
  * interleaving can change *when* numeric work happens on the host, but

@@ -100,7 +100,6 @@ class RobotSession
     const SessionConfig &config() const { return config_; }
 
     bool finished() const { return next_frame_ >= frames_.size(); }
-    std::size_t frameIndex() const { return next_frame_; }
     std::size_t frameCount() const { return frames_.size(); }
 
     /**

@@ -192,8 +192,8 @@ addVisualPoseBlocks(double *h, std::size_t ldh, double *g, std::size_t ra,
                     "visual pose blocks at ", ra, " and ", rt,
                     " out of range for ", ldh, " rows");
     const linalg::simd::Ops &v = linalg::simd::ops();
-    const double res[2] = {ev.residual.u, ev.residual.v};
-    // Row scales wt J(k, i) of each residual row k.
+    // Row scales wt J(k, i) of each residual row k, and the rhs scales
+    // -(wt r_k).
     double alpha_a[2][kPoseDof];
     double alpha_t[2][kPoseDof];
     for (std::size_t k = 0; k < 2; ++k)
@@ -201,26 +201,22 @@ addVisualPoseBlocks(double *h, std::size_t ldh, double *g, std::size_t ra,
             alpha_a[k][i] = wt * ev.j_anchor.m[k * kPoseDof + i];
             alpha_t[k][i] = wt * ev.j_target.m[k * kPoseDof + i];
         }
+    const double alpha_g[2] = {-(wt * ev.residual.u),
+                               -(wt * ev.residual.v)};
+    const double *aa[2] = {alpha_a[0], alpha_a[1]};
+    const double *at[2] = {alpha_t[0], alpha_t[1]};
+    const double *ag[2] = {&alpha_g[0], &alpha_g[1]};
     const double *ja[2] = {ev.j_anchor.row(0), ev.j_anchor.row(1)};
     const double *jt[2] = {ev.j_target.row(0), ev.j_target.row(1)};
-    // Blocks (a, a), (a, t), (t, a), (t, t). Residual rows go in order
-    // within each block, so every element adds its k = 0 term first.
-    for (std::size_t k = 0; k < 2; ++k)
-        v.axpys(h + ra * ldh + ra, ldh, alpha_a[k], kPoseDof, ja[k],
-                kPoseDof);
-    for (std::size_t k = 0; k < 2; ++k)
-        v.axpys(h + ra * ldh + rt, ldh, alpha_a[k], kPoseDof, jt[k],
-                kPoseDof);
-    for (std::size_t k = 0; k < 2; ++k)
-        v.axpys(h + rt * ldh + ra, ldh, alpha_t[k], kPoseDof, ja[k],
-                kPoseDof);
-    for (std::size_t k = 0; k < 2; ++k)
-        v.axpys(h + rt * ldh + rt, ldh, alpha_t[k], kPoseDof, jt[k],
-                kPoseDof);
-    for (std::size_t k = 0; k < 2; ++k)
-        v.axpy(g + ra, -(wt * res[k]), ja[k], kPoseDof);
-    for (std::size_t k = 0; k < 2; ++k)
-        v.axpy(g + rt, -(wt * res[k]), jt[k], kPoseDof);
+    // Blocks (a, a), (a, t), (t, a), (t, t), then the segments: one
+    // rank-2 update each, whose terms are the residual rows in order,
+    // so every element adds its k = 0 term first.
+    v.rankUpdate(h + ra * ldh + ra, ldh, aa, ja, 2, kPoseDof, kPoseDof);
+    v.rankUpdate(h + ra * ldh + rt, ldh, aa, jt, 2, kPoseDof, kPoseDof);
+    v.rankUpdate(h + rt * ldh + ra, ldh, at, ja, 2, kPoseDof, kPoseDof);
+    v.rankUpdate(h + rt * ldh + rt, ldh, at, jt, 2, kPoseDof, kPoseDof);
+    v.rankUpdate(g + ra, kPoseDof, ag, ja, 2, 1, kPoseDof);
+    v.rankUpdate(g + rt, kPoseDof, ag, jt, 2, 1, kPoseDof);
 }
 
 void

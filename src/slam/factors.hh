@@ -118,9 +118,10 @@ VisualFactorEval evaluateVisualFactor(const PinholeCamera &camera,
  * row-major ldh x ldh matrix h, p, q in {anchor, target}, and its pose
  * gradient -wt J_p^T r to the 6-entry segments g[ra..] and g[rt..] of
  * the ldh-long g.
- * Each block takes one simd axpys per residual row (row i scaled by
- * wt J_p(k, i)); each segment takes one axpy per residual row. The
- * blocks must not overlap (ra != rt).
+ * Each block takes one rank-2 simd rankUpdate whose terms are the two
+ * residual rows (row i of term k scaled by wt J_p(k, i)); each segment
+ * takes one one-row rank-2 rankUpdate (term k scaled by -(wt r_k)).
+ * The blocks must not overlap (ra != rt).
  */
 void addVisualPoseBlocks(double *h, std::size_t ldh, double *g,
                          std::size_t ra, std::size_t rt,

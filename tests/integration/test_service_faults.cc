@@ -229,6 +229,19 @@ TEST(ServiceFaultRecovery, TrippedSessionDumpsPostmortemBundle)
     EXPECT_NE(json.find("\"kind\": \"fault\""), std::string::npos);
     EXPECT_NE(json.find("\"records\""), std::string::npos);
 
+    // The dump is taken at the trip, so the ring still holds the trip
+    // frame's own numeric records: its session.step span opens there.
+    const std::string frame_key = "\n  \"frame\": ";
+    const std::size_t frame_at = json.find(frame_key);
+    ASSERT_NE(frame_at, std::string::npos) << json.substr(0, 200);
+    const std::string frame = json.substr(
+        frame_at + frame_key.size(),
+        json.find(',', frame_at) - frame_at - frame_key.size());
+    EXPECT_NE(json.find("\"kind\": \"span_begin\", \"frame\": " + frame +
+                        ", \"name\": \"session.step\""),
+              std::string::npos)
+        << "no session.step span of trip frame " << frame;
+
     // The ring kept recording after the dump (it wraps, by design), so
     // the fault marker lives in the bundle, not necessarily in the
     // final in-memory window; the bundle assertions above cover it.

@@ -203,38 +203,13 @@ TEST(SimdPrimitives, DotsMatchDotPerRowPerBackend)
     }
 }
 
-TEST(SimdPrimitives, AxpysMatchAxpyPerRowPerBackend)
-{
-    // Every row of the batched axpy is the level-1 axpy of that row with
-    // its own scale, bit for bit; the gaps between strided rows stay
-    // untouched.
-    Rng rng(109);
-    for (const simd::Backend backend : availableBackends()) {
-        const simd::Ops &ops = simd::opsFor(backend);
-        for (std::size_t n = 0; n < 20; ++n)
-            for (std::size_t rows = 0; rows < 10; ++rows) {
-                const std::size_t ldh = n + 5;
-                const auto x = randomSpan(n, rng);
-                const auto alpha = randomSpan(rows, rng);
-                auto h = randomSpan(rows * ldh + 1, rng);
-                auto want = h;
-                ops.axpys(h.data(), ldh, alpha.data(), rows, x.data(), n);
-                for (std::size_t r = 0; r < rows; ++r)
-                    ops.axpy(want.data() + r * ldh, alpha[r], x.data(), n);
-                for (std::size_t i = 0; i < h.size(); ++i)
-                    EXPECT_EQ(h[i], want[i])
-                        << ops.name << " n=" << n << " rows=" << rows
-                        << " element " << i;
-            }
-    }
-}
-
 TEST(SimdPrimitives, RankUpdateMatchesAxpysPerTermPerBackend)
 {
-    // The rank-k update is its k axpys calls in term order, bit for bit:
-    // every register tile (6 x 6, 1 x 6, 15-wide rows in pairs and a
-    // single) and the per-term fallback, at every term count, row count
-    // and tail length, with strided rows whose gaps stay untouched.
+    // The rank-k update is one level-1 axpy per row and term, terms in
+    // order, bit for bit: every register tile (6 x 6, 1 x 6, 15-wide
+    // rows in pairs and a single) and the per-term fallback, at every
+    // term count, row count and tail length, with strided rows whose
+    // gaps stay untouched. At k = 1 this is the row-batched axpy.
     Rng rng(110);
     for (const simd::Backend backend : availableBackends()) {
         const simd::Ops &ops = simd::opsFor(backend);
@@ -257,8 +232,9 @@ TEST(SimdPrimitives, RankUpdateMatchesAxpysPerTermPerBackend)
                     ops.rankUpdate(h.data(), ldh, alpha_p.data(), x_p.data(),
                                    k, rows, n);
                     for (std::size_t t = 0; t < k; ++t)
-                        ops.axpys(want.data(), ldh, alpha[t].data(), rows,
-                                  x[t].data(), n);
+                        for (std::size_t r = 0; r < rows; ++r)
+                            ops.axpy(want.data() + r * ldh, alpha[t][r],
+                                     x[t].data(), n);
                     for (std::size_t i = 0; i < h.size(); ++i)
                         EXPECT_EQ(h[i], want[i])
                             << ops.name << " k=" << k << " rows=" << rows

@@ -286,6 +286,25 @@ checkHotPathAlloc(const SourceFile &f, std::vector<Finding> &findings)
     static const char *const kCAlloc[] = {
         "malloc", "calloc", "realloc", "strdup", "aligned_alloc",
         nullptr};
+    // True when the template argument list opening at t[open] closes
+    // with a `>` followed by `&` or `&&`: a reference binding, which
+    // allocates nothing.
+    const auto bindsReference = [&](std::size_t open) {
+        int depth = 0;
+        for (std::size_t j = open; j + 1 < t.size(); ++j) {
+            if (t[j].is("<"))
+                ++depth;
+            else if (t[j].is(">"))
+                --depth;
+            else if (t[j].is(">>"))
+                depth -= 2;
+            else if (t[j].is(";") || t[j].is("{"))
+                return false;
+            if (depth <= 0)
+                return t[j + 1].is("&") || t[j + 1].is("&&");
+        }
+        return false;
+    };
 
     for (std::size_t i = 0; i < t.size(); ++i) {
         if (!inHot(i) || t[i].kind != TokenKind::Identifier)
@@ -328,7 +347,7 @@ checkHotPathAlloc(const SourceFile &f, std::vector<Finding> &findings)
         }
         if (x == "vector" && i >= 2 && t[i - 1].is("::") &&
             t[i - 2].ident("std") && i + 1 < t.size() &&
-            t[i + 1].is("<")) {
+            t[i + 1].is("<") && !bindsReference(i + 1)) {
             add(findings, f, "hot-path-alloc", t[i].line, t[i].col,
                 "local std::vector on a hot path allocates; hoist the "
                 "buffer out of the kernel/lambda");
